@@ -14,8 +14,7 @@
  * Warm < cold always holds (cold = warm + the build); the interesting
  * number is warm vs streaming — how much of the stream time the
  * precomputed colon/comma/open/close bitmaps buy back — plus the
- * sidecar footprint that residency costs (sidecar and in-memory bytes
- * as a fraction of the document).
+ * in-memory footprint that residency costs (index_memory_bytes).
  */
 #include <cstdio>
 #include <string>
@@ -43,8 +42,8 @@ main(int argc, char** argv)
                        "semi-index cold/warm vs plain streaming");
 
     printTableHeader({"Query", "streaming", "cold(bld+q)", "warm",
-                      "warm-speedup", "sidecar"},
-                     {7, 12, 12, 12, 13, 10});
+                      "warm-speedup"},
+                     {7, 12, 12, 12, 13});
     for (const QuerySpec& spec : paperQueries()) {
         // One query per dataset is enough for the trend; the "1"
         // queries are the deep-descent ones where skips dominate.
@@ -73,19 +72,15 @@ main(int argc, char** argv)
             std::printf("!! regimes disagree on %s\n",
                         std::string(spec.id).c_str());
 
-        std::string sidecar = ix.serialize();
         double speedup = t_warm.seconds > 0
                              ? t_stream.seconds / t_warm.seconds
                              : 0;
-        char spd[32], side[32];
+        char spd[32];
         std::snprintf(spd, sizeof spd, "%.2fx", speedup);
-        std::snprintf(side, sizeof side, "%.1f%%",
-                      100.0 * static_cast<double>(sidecar.size()) /
-                          static_cast<double>(json.size()));
         printTableRow({std::string(spec.id), fmtSeconds(t_stream.seconds),
                        fmtSeconds(t_cold.seconds),
-                       fmtSeconds(t_warm.seconds), spd, side},
-                      {7, 12, 12, 12, 13, 10});
+                       fmtSeconds(t_warm.seconds), spd},
+                      {7, 12, 12, 12, 13});
 
         report.beginRow(spec.id, "streaming");
         report.timing(t_stream, json.size());
@@ -93,7 +88,6 @@ main(int argc, char** argv)
         report.timing(t_cold, json.size());
         report.beginRow(spec.id, "warm-indexed");
         report.timing(t_warm, json.size());
-        report.metric("sidecar_bytes", uint64_t(sidecar.size()));
         report.metric("index_memory_bytes", uint64_t(ix.memoryBytes()));
         report.metric("index_usable", uint64_t(ix.usable() ? 1 : 0));
     }

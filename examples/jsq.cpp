@@ -5,7 +5,8 @@
  * Usage:
  *   jsq <query> [file]         print every match, one per line
  *   jsq -c <query> [file]      print only the match count
- *   jsq -n K <query> [file]    stop after K matches (early termination)
+ *   jsq -n K <query> [file]    stop after K matches in total (early
+ *                              termination)
  *   jsq -r <query> [file]      treat input as a stream of records
  *   jsq -s <query> [file]      print the fast-forward statistics
  *   jsq -e <query>             print the evaluation plan and exit
@@ -17,54 +18,40 @@
  *                              a synonym.  In default builds
  *                              (JSONSKI_TELEMETRY=OFF) the telemetry
  *                              section is present but zeroed.
+ *   --chunk-bytes N            read the input in N-byte chunks (default
+ *                              64 KiB); with -r, the record reader's
+ *                              buffer size (default 1 MiB)
  *
- * Reads from stdin when no file is given.  Multiple queries may be
- * passed separated by commas; they are evaluated in ONE pass with the
- * multi-query streamer.  Match lines are tagged [qN] with the first
- * command-line position asking for that query — duplicates share one
- * stream, and -c repeats the shared count at every position.
+ * Reads from stdin when no file is given.  Every mode streams: the
+ * input — file, pipe, or stdin — is pulled through the engine chunk by
+ * chunk and never materialized as a whole, so resident memory is
+ * bounded by the chunk size plus the largest value span still being
+ * emitted (DESIGN.md §9); with -r, plus the record being evaluated.
  *
- * --chunk-bytes N switches to bounded-memory ingestion: the input —
- * file, pipe, or stdin — is pulled through the engine in N-byte chunks
- * and is never materialized as a whole; resident memory is bounded by
- * the chunk size plus the largest value span still being emitted
- * (DESIGN.md §9).  With -r, N becomes the record reader's buffer size.
- *
- * Sidecar semi-indexes (DESIGN.md §14), single query + whole document
- * only (not -r, not --chunk-bytes):
- *   --index-save PATH   build a structural index of the input and
- *                       write it to PATH (after running the query warm)
- *   --index-load PATH   load PATH; when it describes the input, answer
- *                       skips from it, else warn and stream
- *   --index-cache       keep the sidecar next to the input file
- *                       (FILE.jski): load when fresh, (re)build and
- *                       save when missing or stale
+ * Multiple queries may be passed separated by commas; they are
+ * evaluated in ONE pass with the multi-query streamer, and -n counts
+ * matches across the whole list.  Match lines are tagged [qN] with the
+ * first command-line position asking for that query — duplicates share
+ * one stream, and -c repeats the shared count at every position.  When
+ * several queries match one value, its lines follow plan order: the
+ * order in which the distinct queries first appear in the list.
  */
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "index/structural_index.h"
 #include "intervals/chunk_source.h"
 #include "json/writer.h"
 #include "kernels/kernel.h"
 #include "path/parser.h"
-#include "path/queryset.h"
+#include "service/plan_cache.h"
 #include "service/protocol.h"
 #include "ski/explain.h"
-#include "util/parse.h"
+#include "ski/sinks.h"
 #include "telemetry/export.h"
 #include "telemetry/telemetry.h"
-#include "ski/record_reader.h"
-#include "ski/multi.h"
-#include "ski/record_scanner.h"
-#include "ski/sinks.h"
-#include "ski/streamer.h"
+#include "util/parse.h"
 
 using namespace jsonski;
 
@@ -78,28 +65,17 @@ struct Options
     bool explain_only = false;
     bool profile = false;
     size_t limit = 0;       // 0 = unlimited
-    size_t chunk_bytes = 0; // 0 = materialize the input (legacy path)
-    std::string index_save;
-    std::string index_load;
-    bool index_cache = false;
+    size_t chunk_bytes = 0; // 0 = the mode's default
     std::vector<std::string> queries;
     std::string file;
-
-    bool
-    usesIndex() const
-    {
-        return !index_save.empty() || !index_load.empty() || index_cache;
-    }
 };
 
 [[noreturn]] void
 usage()
 {
     std::fprintf(stderr,
-                 "usage: jsq [-c] [-r] [-s] [-p] [-n K] "
+                 "usage: jsq [-c] [-r] [-s] [-e] [-p] [-n K] "
                  "[--chunk-bytes N]\n"
-                 "           [--index-save PATH] [--index-load PATH] "
-                 "[--index-cache]\n"
                  "           <query>[,<query>...] [file]\n");
     std::exit(2);
 }
@@ -136,14 +112,6 @@ parseArgs(int argc, char** argv)
                              argv[i]);
                 usage();
             }
-        } else if (std::strcmp(argv[i], "--index-save") == 0 &&
-                   i + 1 < argc) {
-            opt.index_save = argv[++i];
-        } else if (std::strcmp(argv[i], "--index-load") == 0 &&
-                   i + 1 < argc) {
-            opt.index_load = argv[++i];
-        } else if (std::strcmp(argv[i], "--index-cache") == 0) {
-            opt.index_cache = true;
         } else {
             usage();
         }
@@ -156,149 +124,97 @@ parseArgs(int argc, char** argv)
         opt.file = argv[i++];
     if (i != argc)
         usage();
-    if (opt.usesIndex()) {
-        if (opt.records || opt.chunk_bytes != 0 ||
-            opt.queries.size() != 1) {
-            std::fprintf(stderr,
-                         "jsq: --index-* needs a single query over a "
-                         "whole document (no -r, no --chunk-bytes)\n");
-            usage();
-        }
-        if (opt.index_cache && opt.file.empty()) {
-            std::fprintf(stderr, "jsq: --index-cache needs a file "
-                                 "(the sidecar lives next to it)\n");
-            usage();
-        }
-        if (opt.index_cache && !opt.index_load.empty()) {
-            std::fprintf(stderr, "jsq: --index-cache and --index-load "
-                                 "are mutually exclusive\n");
-            usage();
-        }
-    }
     return opt;
 }
 
-std::string
-readInput(const Options& opt)
-{
-    if (opt.file.empty()) {
-        std::ostringstream ss;
-        ss << std::cin.rdbuf();
-        return ss.str();
-    }
-    std::ifstream in(opt.file, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "jsq: cannot open %s\n", opt.file.c_str());
-        std::exit(1);
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-/** Print-and-maybe-stop sink used for the single-query path. */
-class PrintSink : public path::MatchSink
-{
-  public:
-    PrintSink(bool quiet, size_t limit) : quiet_(quiet), limit_(limit) {}
-
-    void
-    onMatch(std::string_view value) override
-    {
-        ++count;
-        if (!quiet_)
-            std::fwrite(value.data(), 1, value.size(), stdout),
-                std::fputc('\n', stdout);
-        if (limit_ != 0 && count >= limit_)
-            throw ski::StopStreaming{};
-    }
-
-    size_t count = 0;
-
-  private:
-    bool quiet_;
-    size_t limit_;
-};
-
 /**
- * Multi-query print sink.  Frames are tagged with the *representative*
- * command-line position of each distinct query (the first position that
- * asked for it), so `jsq '$.a,$.b,$.a'` labels matches q0/q1 and the
- * duplicate third query shares q0's stream — the same contract jsqd
- * puts on the wire.
+ * The one match sink: prints each match (tagged [qN] with its
+ * representative command-line position when a list was given) and
+ * stops the whole run after -n K matches across every query.
  */
-class PrintMultiSink : public ski::MultiSink
+class PrintSink : public ski::MultiSink
 {
   public:
-    PrintMultiSink(bool quiet, std::vector<size_t> tags)
-        : quiet_(quiet), tags_(std::move(tags))
+    PrintSink(bool quiet, bool tagged, std::vector<size_t> tags,
+              size_t limit)
+        : quiet_(quiet), tagged_(tagged), tags_(std::move(tags)),
+          limit_(limit)
     {}
 
     void
     onMatch(size_t qi, std::string_view value) override
     {
         if (!quiet_) {
-            std::printf("[q%zu] ",
-                        qi < tags_.size() ? tags_[qi] : qi);
+            if (tagged_)
+                std::printf("[q%zu] ", tags_[qi]);
             std::fwrite(value.data(), 1, value.size(), stdout);
             std::fputc('\n', stdout);
         }
+        if (limit_ != 0 && ++count_ >= limit_)
+            throw ski::StopStreaming{};
     }
 
   private:
     bool quiet_;
+    bool tagged_;
     std::vector<size_t> tags_;
+    size_t limit_;
+    size_t count_ = 0;
 };
 
-/** Per-position count lines for -c: duplicates repeat their count. */
-void
-printMultiCounts(const std::vector<std::string>& queries,
-                 const path::QuerySet& set,
-                 const std::vector<size_t>& dist_counts)
-{
-    for (size_t i = 0; i < queries.size(); ++i)
-        std::printf("q%zu %s: %zu\n", i, queries[i].c_str(),
-                    dist_counts[set.id_of[i]]);
-}
-
 /**
- * -s report for the combined pass: whole-pass fast-forward ratio, the
- * shared-trie shape, and each distinct query's divergent-suffix replay
+ * -s report: whole-run fast-forward ratios, then how the input came in
+ * (chunked ingestion, or the record count), then for query lists the
+ * shared-trie shape and each distinct query's divergent-suffix replay
  * work (zero for queries fully resident in the trie).
  */
 void
-printMultiStats(const ski::MultiStreamer& ms,
-                const ski::MultiStreamer::Result& r,
-                size_t input_bytes)
+printStats(const service::Plan& plan, const service::RunResult& r,
+           const std::vector<size_t>& tags, bool records)
 {
+    size_t n = r.input_bytes;
+    std::fprintf(stderr, "fast-forwarded %.2f%% of %zu %sbytes (G1..G5:",
+                 r.stats.overallRatio(n) * 100, n,
+                 records ? "record " : "");
+    for (size_t g = 0; g < ski::kGroupCount; ++g)
+        std::fprintf(stderr, " %.1f%%",
+                     r.stats.ratio(static_cast<ski::Group>(g), n) * 100);
+    if (records)
+        std::fprintf(stderr, ") across %zu records\n", r.records);
+    else
+        std::fprintf(stderr,
+                     "); chunked ingestion: %llu refills, %llu spill "
+                     "bytes, window peak %zu bytes\n",
+                     static_cast<unsigned long long>(r.ingest.refills),
+                     static_cast<unsigned long long>(r.ingest.spill_bytes),
+                     r.ingest.window_peak);
+    if (!plan.multi)
+        return;
     std::fprintf(stderr,
-                 "fast-forwarded %.2f%% of %zu bytes; %zu distinct "
-                 "queries over %zu trie nodes, %zu divergent "
-                 "suffixes\n",
-                 r.stats.overallRatio(input_bytes) * 100, input_bytes,
-                 ms.queryCount(), ms.trieNodes(), ms.suffixCount());
+                 "%zu distinct queries over %zu trie nodes, %zu "
+                 "divergent suffixes\n",
+                 plan.multi->queryCount(), plan.multi->trieNodes(),
+                 plan.multi->suffixCount());
     for (size_t qi = 0; qi < r.per_query.size(); ++qi) {
         uint64_t replay = r.per_query[qi].total();
         if (replay != 0)
             std::fprintf(stderr,
                          "  q%zu suffix replay fast-forwarded %llu "
                          "bytes\n",
-                         qi,
-                         static_cast<unsigned long long>(replay));
+                         tags[qi], static_cast<unsigned long long>(replay));
     }
 }
 
 /**
  * Emit the --profile report: a single machine-readable JSON object on
- * stdout plus the human-readable telemetry breakdown on stderr.  Multi-
- * query runs pass the combined pass's whole-run FastForwardStats
- * (suffix replays included).
+ * stdout plus the human-readable telemetry breakdown on stderr.  The
+ * fast-forward stats are the whole run's (suffix replays included).
  */
 void
-printProfile(const std::string& query, size_t input_bytes, size_t matches,
-             const ski::FastForwardStats* stats,
+printProfile(const std::string& query, const service::RunResult& r,
              const telemetry::Registry& reg)
 {
+    size_t n = r.input_bytes;
     json::Writer w;
     w.beginObject();
     w.key("schema");
@@ -308,85 +224,31 @@ printProfile(const std::string& query, size_t input_bytes, size_t matches,
     w.key("query");
     w.string(query);
     w.key("input_bytes");
-    w.number(static_cast<int64_t>(input_bytes));
+    w.number(static_cast<int64_t>(n));
     w.key("matches");
-    w.number(static_cast<int64_t>(matches));
+    w.number(static_cast<int64_t>(r.total()));
     w.key("telemetry_compiled");
     w.boolean(telemetry::kEnabled);
-    if (stats != nullptr) {
-        w.key("ff");
-        w.beginObject();
-        for (size_t g = 0; g < ski::kGroupCount; ++g) {
-            auto grp = static_cast<ski::Group>(g);
-            char key[16];
-            std::snprintf(key, sizeof key, "G%zu", g + 1);
-            w.key(key);
-            w.number(static_cast<int64_t>(stats->get(grp)));
-            std::snprintf(key, sizeof key, "G%zu_ratio", g + 1);
-            w.key(key);
-            w.number(stats->ratio(grp, input_bytes));
-        }
-        w.key("overall_ratio");
-        w.number(stats->overallRatio(input_bytes));
-        w.endObject();
+    w.key("ff");
+    w.beginObject();
+    for (size_t g = 0; g < ski::kGroupCount; ++g) {
+        auto grp = static_cast<ski::Group>(g);
+        char key[16];
+        std::snprintf(key, sizeof key, "G%zu", g + 1);
+        w.key(key);
+        w.number(static_cast<int64_t>(r.stats.get(grp)));
+        std::snprintf(key, sizeof key, "G%zu_ratio", g + 1);
+        w.key(key);
+        w.number(r.stats.ratio(grp, n));
     }
+    w.key("overall_ratio");
+    w.number(r.stats.overallRatio(n));
+    w.endObject();
     w.key("telemetry");
     w.raw(telemetry::toJson(reg));
     w.endObject();
     std::printf("%s\n", w.take().c_str());
     std::fprintf(stderr, "%s", telemetry::renderReport(reg).c_str());
-}
-
-/**
- * Resolve the --index-save/--index-load/--index-cache flags against
- * the materialized input: the index to run warm with (if any), loaded
- * when a fresh sidecar exists, built otherwise, saved where asked.
- * A stale or corrupt sidecar is never an error — jsq warns and falls
- * back to streaming (or rebuilds, with --index-cache).
- */
-std::optional<index::StructuralIndex>
-resolveSidecar(const Options& opt, const std::string& input)
-{
-    std::optional<index::StructuralIndex> sidecar;
-    if (!opt.index_load.empty()) {
-        try {
-            sidecar = index::loadIndexFile(opt.index_load);
-            if (!sidecar->describes(input)) {
-                std::fprintf(stderr,
-                             "jsq: index %s does not describe this "
-                             "input; streaming instead\n",
-                             opt.index_load.c_str());
-                sidecar.reset();
-            }
-        } catch (const index::IndexError& e) {
-            // A bad sidecar is never trusted and never fatal: the
-            // document itself is fine, so stream it.
-            std::fprintf(stderr,
-                         "jsq: index %s rejected (%s); streaming "
-                         "instead\n",
-                         opt.index_load.c_str(), e.what());
-            sidecar.reset();
-        }
-    } else if (opt.index_cache) {
-        std::string path = opt.file + ".jski";
-        try {
-            sidecar = index::loadIndexFile(path);
-            if (!sidecar->describes(input))
-                sidecar.reset(); // stale: the document changed
-        } catch (const index::IndexError&) {
-            sidecar.reset(); // missing or corrupt: rebuild below
-        }
-        if (!sidecar) {
-            sidecar = index::StructuralIndex::build(input);
-            index::saveIndexFile(*sidecar, path);
-        }
-    }
-    if (!opt.index_save.empty()) {
-        if (!sidecar)
-            sidecar = index::StructuralIndex::build(input);
-        index::saveIndexFile(*sidecar, opt.index_save);
-    }
-    return sidecar;
 }
 
 } // namespace
@@ -405,233 +267,48 @@ main(int argc, char** argv)
         }
         return 0;
     }
+    std::FILE* f = stdin;
+    if (!opt.file.empty() &&
+        (f = std::fopen(opt.file.c_str(), "rb")) == nullptr) {
+        std::fprintf(stderr, "jsq: cannot open %s\n", opt.file.c_str());
+        return 1;
+    }
     try {
-        if (opt.records && opt.queries.size() == 1) {
-            // True streaming: a fixed window over the record stream.
-            std::ifstream file;
-            std::istream* in = &std::cin;
-            if (!opt.file.empty()) {
-                file.open(opt.file, std::ios::binary);
-                if (!file) {
-                    std::fprintf(stderr, "jsq: cannot open %s\n",
-                                 opt.file.c_str());
-                    return 1;
-                }
-                in = &file;
-            }
-            ski::RecordReader reader(
-                *in, opt.chunk_bytes != 0 ? opt.chunk_bytes : 1 << 20);
-            path::PathQuery query = path::parse(opt.queries[0]);
-            if (opt.profile)
-                std::fprintf(stderr, "%s", ski::explain(query).c_str());
-            ski::Streamer streamer(query);
-            PrintSink sink(opt.count_only || opt.profile, opt.limit);
-            ski::FastForwardStats stats;
-            telemetry::Registry reg;
-            {
-                telemetry::Scope scope(reg);
-                std::string_view record;
-                while (reader.next(record)) {
-                    stats.merge(streamer.run(record, &sink).stats);
-                    if (opt.limit != 0 && sink.count >= opt.limit)
-                        break;
-                }
-            }
-            if (opt.count_only)
-                std::printf("%zu\n", sink.count);
-            if (opt.profile)
-                printProfile(opt.queries[0], reader.bytesRead(),
-                             sink.count, &stats, reg);
-            if (opt.stats) {
-                std::fprintf(stderr,
-                             "fast-forwarded %.2f%% of %zu record "
-                             "bytes across %zu records\n",
-                             stats.overallRatio(reader.bytesRead()) *
-                                 100,
-                             reader.bytesRead(), reader.recordsRead());
-            }
-            return 0;
+        // The plan keeps the list's first-occurrence order; duplicates
+        // share one distinct query and one match stream.
+        std::string list = service::joinQueries(opt.queries);
+        std::shared_ptr<const service::Plan> plan =
+            service::compilePlan(list);
+        service::RequestMap map =
+            plan->mapRequest(path::QuerySet::fromTexts(opt.queries));
+        if (opt.profile)
+            for (const std::string& q : plan->query_texts)
+                std::fprintf(stderr, "%s",
+                             ski::explain(path::parse(q)).c_str());
+        PrintSink sink(opt.count_only || opt.profile,
+                       opt.queries.size() > 1, map.tag, opt.limit);
+        intervals::FileSource src(f);
+        size_t chunk_bytes = opt.chunk_bytes != 0 ? opt.chunk_bytes
+                             : opt.records ? size_t{1} << 20
+                                           : ski::Streamer::kDefaultChunkBytes;
+        service::RunResult r;
+        telemetry::Registry reg;
+        {
+            telemetry::Scope scope(reg);
+            r = plan->run(src, sink, chunk_bytes, opt.records);
         }
-
-        if (!opt.records && opt.chunk_bytes != 0) {
-            // Bounded-memory ingestion: pull the input through the
-            // engine chunk by chunk, never materializing the document.
-            std::FILE* f = nullptr;
-            std::optional<intervals::FileSource> file_src;
-            std::optional<intervals::IstreamSource> cin_src;
-            intervals::ChunkSource* src = nullptr;
-            if (!opt.file.empty()) {
-                f = std::fopen(opt.file.c_str(), "rb");
-                if (f == nullptr) {
-                    std::fprintf(stderr, "jsq: cannot open %s\n",
-                                 opt.file.c_str());
-                    return 1;
-                }
-                file_src.emplace(f);
-                src = &*file_src;
-            } else {
-                cin_src.emplace(std::cin);
-                src = &*cin_src;
-            }
-
-            if (opt.queries.size() == 1) {
-                path::PathQuery query = path::parse(opt.queries[0]);
-                if (opt.profile)
-                    std::fprintf(stderr, "%s",
-                                 ski::explain(query).c_str());
-                ski::Streamer streamer(query);
-                PrintSink sink(opt.count_only || opt.profile, opt.limit);
-                ski::StreamResult r;
-                telemetry::Registry reg;
-                {
-                    telemetry::Scope scope(reg);
-                    r = streamer.run(*src, &sink, opt.chunk_bytes);
-                }
-                if (opt.count_only)
-                    std::printf("%zu\n", sink.count);
-                if (opt.profile)
-                    printProfile(opt.queries[0], r.input_bytes,
-                                 sink.count, &r.stats, reg);
-                if (opt.stats) {
-                    std::fprintf(
-                        stderr,
-                        "fast-forwarded %.2f%% of %zu bytes; chunked "
-                        "ingestion: %llu refills, %llu spill bytes, "
-                        "window peak %zu bytes\n",
-                        r.stats.overallRatio(r.input_bytes) * 100,
-                        r.input_bytes,
-                        static_cast<unsigned long long>(r.ingest.refills),
-                        static_cast<unsigned long long>(
-                            r.ingest.spill_bytes),
-                        r.ingest.window_peak);
-                }
-            } else {
-                // One combined pass: the multi-streamer normalizes the
-                // list (dedup, canonical forms) exactly like the jsqd
-                // plan cache, so duplicates share one match stream.
-                ski::MultiStreamer ms(
-                    path::QuerySet::fromTexts(opt.queries));
-                const path::QuerySet& set = ms.querySet();
-                if (opt.profile)
-                    for (const path::PathQuery& q : ms.queries())
-                        std::fprintf(stderr, "%s",
-                                     ski::explain(q).c_str());
-                PrintMultiSink sink(opt.count_only || opt.profile,
-                                    set.representatives());
-                ski::MultiStreamer::Result r;
-                telemetry::Registry reg;
-                {
-                    telemetry::Scope scope(reg);
-                    r = ms.run(*src, &sink, opt.chunk_bytes);
-                }
-                if (opt.count_only)
-                    printMultiCounts(opt.queries, set, r.matches);
-                if (opt.profile) {
-                    size_t total = 0;
-                    for (size_t m : r.matches)
-                        total += m;
-                    printProfile(service::joinQueries(opt.queries),
-                                 r.input_bytes, total, &r.stats, reg);
-                }
-                if (opt.stats)
-                    printMultiStats(ms, r, r.input_bytes);
-            }
-            if (f != nullptr)
-                std::fclose(f);
-            return 0;
+        if (opt.count_only && opt.queries.size() == 1) {
+            std::printf("%zu\n", r.total());
+        } else if (opt.count_only) {
+            std::vector<size_t> counts = map.perPosition(r.matches);
+            for (size_t i = 0; i < opt.queries.size(); ++i)
+                std::printf("q%zu %s: %zu\n", i, opt.queries[i].c_str(),
+                            counts[i]);
         }
-
-        std::string input = readInput(opt);
-        std::vector<std::pair<size_t, size_t>> spans;
-        if (opt.records)
-            spans = ski::scanRecords(input);
-        else
-            spans.emplace_back(0, input.size());
-
-        if (opt.queries.size() == 1) {
-            path::PathQuery query = path::parse(opt.queries[0]);
-            if (opt.profile)
-                std::fprintf(stderr, "%s", ski::explain(query).c_str());
-            std::optional<index::StructuralIndex> sidecar;
-            if (opt.usesIndex())
-                sidecar = resolveSidecar(opt, input);
-            ski::Streamer streamer(query);
-            PrintSink sink(opt.count_only || opt.profile, opt.limit);
-            ski::FastForwardStats stats;
-            telemetry::Registry reg;
-            {
-                telemetry::Scope scope(reg);
-                for (auto [off, len] : spans) {
-                    std::string_view slice =
-                        std::string_view(input).substr(off, len);
-                    ski::StreamResult r =
-                        sidecar ? streamer.runIndexed(slice, *sidecar,
-                                                      &sink)
-                                : streamer.run(slice, &sink);
-                    stats.merge(r.stats);
-                    if (opt.limit != 0 && sink.count >= opt.limit)
-                        break;
-                }
-            }
-            if (opt.count_only)
-                std::printf("%zu\n", sink.count);
-            if (opt.profile)
-                printProfile(opt.queries[0], input.size(), sink.count,
-                             &stats, reg);
-            if (opt.stats) {
-                std::fprintf(stderr,
-                             "fast-forwarded %.2f%% of %zu bytes "
-                             "(G1..G5: %.1f%% %.1f%% %.1f%% %.1f%% "
-                             "%.1f%%)\n",
-                             stats.overallRatio(input.size()) * 100,
-                             input.size(),
-                             stats.ratio(ski::Group::G1, input.size()) * 100,
-                             stats.ratio(ski::Group::G2, input.size()) * 100,
-                             stats.ratio(ski::Group::G3, input.size()) * 100,
-                             stats.ratio(ski::Group::G4, input.size()) * 100,
-                             stats.ratio(ski::Group::G5, input.size()) * 100);
-            }
-        } else {
-            // One combined pass per span: the multi-streamer
-            // normalizes the list (dedup, canonical forms) exactly
-            // like the jsqd plan cache, so duplicates share one match
-            // stream.
-            ski::MultiStreamer ms(
-                path::QuerySet::fromTexts(opt.queries));
-            const path::QuerySet& set = ms.querySet();
-            if (opt.profile)
-                for (const path::PathQuery& q : ms.queries())
-                    std::fprintf(stderr, "%s", ski::explain(q).c_str());
-            PrintMultiSink sink(opt.count_only || opt.profile,
-                                set.representatives());
-            ski::MultiStreamer::Result agg;
-            agg.matches.assign(set.size(), 0);
-            agg.per_query.assign(set.size(), ski::FastForwardStats{});
-            telemetry::Registry reg;
-            {
-                telemetry::Scope scope(reg);
-                for (auto [off, len] : spans) {
-                    auto r = ms.run(
-                        std::string_view(input).substr(off, len), &sink);
-                    for (size_t qi = 0; qi < set.size(); ++qi) {
-                        agg.matches[qi] += r.matches[qi];
-                        agg.per_query[qi].merge(r.per_query[qi]);
-                    }
-                    agg.stats.merge(r.stats);
-                }
-            }
-            if (opt.count_only)
-                printMultiCounts(opt.queries, set, agg.matches);
-            if (opt.profile) {
-                size_t total = 0;
-                for (size_t m : agg.matches)
-                    total += m;
-                printProfile(service::joinQueries(opt.queries),
-                             input.size(), total, &agg.stats, reg);
-            }
-            if (opt.stats)
-                printMultiStats(ms, agg, input.size());
-        }
+        if (opt.profile)
+            printProfile(list, r, reg);
+        if (opt.stats)
+            printStats(*plan, r, map.tag, opt.records);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "jsq: %s\n", e.what());
         return 1;

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Black-box smoke of the query service: boot jsqd, drive it with jsqc
 # over a small corpus, and diff every answer against the jsq CLI (the
-# direct, no-wire evaluation of the same engine).  Also checks the
-# typed error path on a malformed body, length-framed + adversarially
-# chunked uploads, the Prometheus stats scrape, and that a SIGTERM
-# drain exits 0.  Run under ASan+UBSan in CI so protocol and shutdown
-# paths execute sanitized end to end.
+# direct, no-wire evaluation of the same engine), documents and record
+# streams alike.  Also checks the typed error path on a malformed body,
+# the stream offset of a stray byte between records, length-framed +
+# adversarially chunked uploads, the Prometheus stats scrape, and that
+# a SIGTERM drain exits 0.  Run under ASan+UBSan in CI so protocol and
+# shutdown paths execute sanitized end to end.
 #
 # Usage: scripts/service_smoke.sh [build-dir]
 set -euo pipefail
@@ -126,6 +127,35 @@ then
 fi
 grep -q "server error:" "$tmp/goterr"
 echo "malformed body rejected with a typed trailer"
+
+# Record streams (-r): jsqd and jsq agree on valid NDJSON, and on
+# NDJSON with a stray byte past the first 64 KiB both report the stray
+# byte's offset in the stream.
+awk 'BEGIN { for (i = 0; i < 12000; i++)
+    printf "{\"a\": %d, \"b\": [%d]}\n", i, i % 7 }' >"$tmp/rec.ndjson"
+for q in '$.b[0]' '$.a,$.b[0]'; do
+    "$JSQ" -r "$q" "$tmp/rec.ndjson" >"$tmp/expected"
+    "$JSQC" -p "$port" -r "$q" "$tmp/rec.ndjson" >"$tmp/got"
+    diff -u "$tmp/expected" "$tmp/got" || {
+        echo "MISMATCH -r query $q" >&2; exit 1; }
+done
+awk 'BEGIN { for (i = 0; i < 12000; i++) { if (i == 6000) printf "x";
+    printf "{\"a\": %d, \"b\": [%d]}\n", i, i % 7 } }' >"$tmp/rec_bad.ndjson"
+want=$(head -n 6000 "$tmp/rec.ndjson" | wc -c)
+if "$JSQ" -r '$.a' "$tmp/rec_bad.ndjson" >/dev/null 2>"$tmp/jsqerr"; then
+    echo "jsq accepted a stray byte between records" >&2; exit 1
+fi
+if "$JSQC" -p "$port" -r '$.a' "$tmp/rec_bad.ndjson" >/dev/null \
+    2>"$tmp/goterr"; then
+    echo "jsqd accepted a stray byte between records" >&2; exit 1
+fi
+jsq_at=$(sed -n 's/.*(at byte \([0-9]*\))$/\1/p' "$tmp/jsqerr")
+jsqd_at=$(sed -n 's/.* at byte \([0-9]*\)$/\1/p' "$tmp/goterr")
+[ "$jsq_at" -eq "$want" ] && [ "$jsqd_at" -eq "$want" ] || {
+    cat "$tmp/jsqerr" "$tmp/goterr" >&2
+    echo "stray byte at $want: jsq says '$jsq_at', jsqd '$jsqd_at'" >&2
+    exit 1; }
+echo "record streams match jsq, stray byte at $want in both"
 
 # Bad query: rejected, daemon unharmed.
 if "$JSQC" -p "$port" '$.a[' "$tmp/doc1.json" >/dev/null 2>&1; then

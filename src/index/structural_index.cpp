@@ -1,7 +1,6 @@
 #include "index/structural_index.h"
 
 #include <cassert>
-#include <cstdio>
 #include <cstring>
 
 #include "index/structural_scan.h"
@@ -370,208 +369,6 @@ StructuralIndex::build(intervals::ChunkSource& src, size_t max_levels,
         b.feed(buf.data(), n);
     }
     return b.finish();
-}
-
-// --------------------------------------------------------------------
-// Serialization
-
-namespace {
-
-constexpr char kMagic[4] = {'J', 'S', 'K', 'I'};
-/** Fixed-size prefix before the bitmap payload. */
-constexpr size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 4 + 4;
-/** Sanity ceiling: a corrupt doc_size must not drive allocations. */
-constexpr uint64_t kMaxDocSize = uint64_t{1} << 48;
-
-void
-appendU32(std::string& out, uint32_t v)
-{
-    char b[4];
-    std::memcpy(b, &v, 4);
-    out.append(b, 4);
-}
-
-void
-appendU64(std::string& out, uint64_t v)
-{
-    char b[8];
-    std::memcpy(b, &v, 8);
-    out.append(b, 8);
-}
-
-void
-appendWords(std::string& out, const std::vector<uint64_t>& v)
-{
-    for (uint64_t w : v)
-        appendU64(out, w);
-}
-
-struct Reader
-{
-    std::string_view bytes;
-    size_t off = 0;
-
-    void
-    need(size_t n, const char* what)
-    {
-        if (bytes.size() - off < n)
-            throw IndexError(bytes.size(),
-                             std::string("truncated ") + what);
-    }
-
-    uint32_t
-    u32(const char* what)
-    {
-        need(4, what);
-        uint32_t v;
-        std::memcpy(&v, bytes.data() + off, 4);
-        off += 4;
-        return v;
-    }
-
-    uint64_t
-    u64(const char* what)
-    {
-        need(8, what);
-        uint64_t v;
-        std::memcpy(&v, bytes.data() + off, 8);
-        off += 8;
-        return v;
-    }
-
-    void
-    words(std::vector<uint64_t>& out, size_t n, const char* what)
-    {
-        need(n * 8, what);
-        out.resize(n);
-        if (n != 0)
-            std::memcpy(out.data(), bytes.data() + off, n * 8);
-        off += n * 8;
-    }
-};
-
-} // namespace
-
-std::string
-StructuralIndex::serialize() const
-{
-    std::string out;
-    size_t entry_words = (words_ + 63) / 64;
-    out.reserve(kHeaderBytes +
-                rows_.size() * 4 * words_ * 8 + 2 * entry_words * 8 + 8);
-    out.append(kMagic, 4);
-    appendU32(out, kFormatVersion);
-    appendU64(out, content_hash_);
-    appendU64(out, doc_size_);
-    appendU64(out, max_depth_);
-    appendU32(out, usable_ ? 1u : 0u);
-    appendU32(out, static_cast<uint32_t>(rows_.size()));
-    for (const LevelRows& r : rows_) {
-        appendWords(out, r.open);
-        appendWords(out, r.close);
-        appendWords(out, r.colon);
-        appendWords(out, r.comma);
-    }
-    if (usable_) {
-        appendWords(out, entry_in_string_);
-        appendWords(out, entry_escaped_);
-    }
-    ContentHasher ck;
-    ck.update(out.data(), out.size());
-    appendU64(out, ck.finish());
-    return out;
-}
-
-StructuralIndex
-StructuralIndex::deserialize(std::string_view bytes)
-{
-    Reader r{bytes};
-    r.need(4, "magic");
-    if (std::memcmp(bytes.data(), kMagic, 4) != 0)
-        throw IndexError(0, "bad magic (not a .jski index)");
-    r.off = 4;
-    uint32_t version = r.u32("version");
-    if (version != kFormatVersion)
-        throw IndexError(4, "unsupported format version " +
-                                std::to_string(version) + " (expected " +
-                                std::to_string(kFormatVersion) + ")");
-    StructuralIndex idx;
-    idx.content_hash_ = r.u64("content hash");
-    idx.doc_size_ = r.u64("document size");
-    idx.max_depth_ = r.u64("max depth");
-    uint32_t flags = r.u32("flags");
-    uint32_t levels = r.u32("level count");
-    if (idx.doc_size_ > kMaxDocSize)
-        throw IndexError(16, "implausible document size");
-    if (levels > kMaxLevels)
-        throw IndexError(kHeaderBytes - 4,
-                         "level count " + std::to_string(levels) +
-                             " exceeds limit");
-    idx.usable_ = (flags & 1) != 0;
-    if (!idx.usable_ && levels != 0)
-        throw IndexError(kHeaderBytes - 8,
-                         "unusable index carries bitmap payload");
-    idx.words_ = (static_cast<size_t>(idx.doc_size_) + 63) / 64;
-    size_t entry_words = idx.usable_ ? (idx.words_ + 63) / 64 : 0;
-    size_t expected = kHeaderBytes +
-                      static_cast<size_t>(levels) * 4 * idx.words_ * 8 +
-                      2 * entry_words * 8 + 8;
-    if (bytes.size() < expected)
-        throw IndexError(bytes.size(),
-                         "truncated: expected " + std::to_string(expected) +
-                             " bytes, got " + std::to_string(bytes.size()));
-    if (bytes.size() > expected)
-        throw IndexError(expected, "trailing garbage after index");
-    // Verify the checksum before trusting any payload geometry.
-    ContentHasher ck;
-    ck.update(bytes.data(), bytes.size() - 8);
-    uint64_t want;
-    std::memcpy(&want, bytes.data() + bytes.size() - 8, 8);
-    if (ck.finish() != want)
-        throw IndexError(bytes.size() - 8, "checksum mismatch");
-    idx.rows_.resize(levels);
-    for (LevelRows& row : idx.rows_) {
-        r.words(row.open, idx.words_, "open bitmap");
-        r.words(row.close, idx.words_, "close bitmap");
-        r.words(row.colon, idx.words_, "colon bitmap");
-        r.words(row.comma, idx.words_, "comma bitmap");
-    }
-    if (idx.usable_) {
-        r.words(idx.entry_in_string_, entry_words, "entry-carry bitmap");
-        r.words(idx.entry_escaped_, entry_words, "entry-carry bitmap");
-    }
-    return idx;
-}
-
-void
-saveIndexFile(const StructuralIndex& idx, const std::string& path)
-{
-    std::string bytes = idx.serialize();
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-        throw IndexError(0, "cannot open " + path + " for writing");
-    size_t n = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    int rc = std::fclose(f);
-    if (n != bytes.size() || rc != 0)
-        throw IndexError(n, "short write to " + path);
-}
-
-StructuralIndex
-loadIndexFile(const std::string& path)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        throw IndexError(0, "cannot open " + path);
-    std::string bytes;
-    char buf[1 << 16];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) != 0)
-        bytes.append(buf, n);
-    bool bad = std::ferror(f) != 0;
-    std::fclose(f);
-    if (bad)
-        throw IndexError(bytes.size(), "read error on " + path);
-    return StructuralIndex::deserialize(bytes);
 }
 
 } // namespace jsonski::index

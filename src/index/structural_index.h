@@ -19,19 +19,14 @@
  * and safety metadata:
  *
  *  - contentHash()/docSize(): a 64-bit content hash + length, the
- *    cache key and the staleness check (`describes()`) for sidecar
- *    files — an index is only ever consulted for the exact bytes it
- *    was built from.
+ *    cache key and the identity check (`describes()`) — an index is
+ *    only ever consulted for the exact bytes it was built from.
  *  - usable(): true only when the document is *structurally clean*
  *    (openers/closers balanced, type-matched, never underflowing, not
  *    in-string at EOF).  On unclean documents the bitmaps are dropped
  *    and every consumer falls back to plain streaming, which makes
  *    warm-path behaviour on malformed input trivially identical to
  *    the streaming path.
- *
- * Indexes serialize to a versioned, checksummed sidecar format
- * (`.jski`); deserialize() rejects corrupt / truncated / mismatched
- * input with a typed IndexError carrying the byte offset and reason.
  */
 #ifndef JSONSKI_INDEX_STRUCTURAL_INDEX_H
 #define JSONSKI_INDEX_STRUCTURAL_INDEX_H
@@ -39,8 +34,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -49,30 +42,6 @@
 #include "util/bits.h"
 
 namespace jsonski::index {
-
-/**
- * Deserialization / sidecar-file failure: where in the input it was
- * detected and why.  Deliberately distinct from ParseError — a bad
- * index file is an artifact problem, not a document problem, and
- * callers (jsq, tests) handle the two differently.
- */
-class IndexError : public std::runtime_error
-{
-  public:
-    IndexError(size_t offset, const std::string& reason)
-        : std::runtime_error("index error at byte " +
-                             std::to_string(offset) + ": " + reason),
-          offset_(offset), reason_(reason)
-    {}
-
-    /** Byte offset within the serialized index (or file). */
-    size_t offset() const { return offset_; }
-    const std::string& reason() const { return reason_; }
-
-  private:
-    size_t offset_;
-    std::string reason_;
-};
 
 /**
  * Incremental 64-bit content hash (FNV-1a over little-endian words
@@ -111,17 +80,17 @@ struct LevelRows
     std::vector<uint64_t> close;
     std::vector<uint64_t> colon;
     std::vector<uint64_t> comma;
+
+    bool operator==(const LevelRows&) const = default;
 };
 
 /** See file comment. */
 class StructuralIndex
 {
   public:
-    /** Bump when the serialized layout changes. */
-    static constexpr uint32_t kFormatVersion = 1;
     /** Levels indexed by default; deeper nesting streams normally. */
     static constexpr size_t kDefaultLevels = 16;
-    /** Hard ceiling a deserializer will accept. */
+    /** Hard ceiling on the levels a builder records. */
     static constexpr size_t kMaxLevels = 64;
     /** "No such position" result of the next/select queries. */
     static constexpr size_t kNone = std::numeric_limits<size_t>::max();
@@ -197,11 +166,8 @@ class StructuralIndex
         return c;
     }
 
-    // --- Sidecar serialization (.jski).
-
-    std::string serialize() const;
-    /** @throws IndexError with offset + reason on any defect. */
-    static StructuralIndex deserialize(std::string_view bytes);
+    /** Same identity, verdict, bitmaps, and carries. */
+    bool operator==(const StructuralIndex&) const = default;
 
     // --- Construction.
 
@@ -282,12 +248,6 @@ class IndexBuilder
     char tail_[intervals::kBlockSize];
     size_t tail_len_ = 0;
 };
-
-/** Write @p idx to @p path. @throws IndexError on I/O failure. */
-void saveIndexFile(const StructuralIndex& idx, const std::string& path);
-
-/** Load and validate a sidecar. @throws IndexError on any defect. */
-StructuralIndex loadIndexFile(const std::string& path);
 
 } // namespace jsonski::index
 

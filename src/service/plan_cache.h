@@ -1,6 +1,12 @@
 /**
  * @file
- * Shard-locked LRU cache of compiled query plans.
+ * Compiled query plans, the one run path over them, and a shard-locked
+ * LRU cache of plans.
+ *
+ * Plan::run is how both front ends evaluate a query list: jsq over a
+ * file or stdin, jsqd over a request body.  It owns the choice between
+ * the single- and multi-query engines, the records loop, and the
+ * merging of counts and fast-forward stats, so the two cannot drift.
  *
  * Parsing a JSONPath list and building the streamer (single-query) or
  * the multi-query trie is pure per-query-text work; under serving
@@ -13,7 +19,7 @@
  * spelling of a filter predicate share one entry, and hands out
  * shared_ptr<const Plan> so an entry can be evicted while requests
  * still run on it.  A request's positions are mapped onto the plan's
- * distinct queries with QuerySet::mapOnto() (see PlanCache::get).
+ * distinct queries with Plan::mapRequest() (see PlanCache::get).
  *
  * Sharding, locking, and eviction are util::ShardedLru (shared with
  * the document index cache): the compile runs under the shard lock,
@@ -32,12 +38,59 @@
 #include <string_view>
 #include <vector>
 
+#include "intervals/chunk_source.h"
 #include "path/queryset.h"
 #include "ski/multi.h"
 #include "ski/streamer.h"
 #include "util/sharded_lru.h"
 
 namespace jsonski::service {
+
+/** What one Plan::run pass observed. */
+struct RunResult
+{
+    /** Matches delivered per *distinct* plan query. */
+    std::vector<size_t> matches;
+
+    /** Whole-run totals: every record, every suffix replay. */
+    ski::FastForwardStats stats;
+
+    /** Divergent-suffix replay work per distinct query (multi plans;
+     *  see MultiStreamer::Result::per_query). */
+    std::vector<ski::FastForwardStats> per_query;
+
+    /** Bytes evaluated: the document bytes ingested, or in records mode
+     *  the record bytes (separators excluded). */
+    size_t input_bytes = 0;
+
+    /** Records evaluated (records mode only). */
+    size_t records = 0;
+
+    /** Chunked-ingestion accounting of a document run. */
+    intervals::StreamCursor::IngestStats ingest;
+
+    /** Matches across every query. */
+    size_t total() const;
+};
+
+/**
+ * How a request's query positions map onto a plan's distinct queries.
+ * A cached plan is compiled from the sorted set key, so its order need
+ * not match the request's, and duplicates share one distinct query.
+ */
+struct RequestMap
+{
+    /** Request position -> distinct plan index. */
+    std::vector<size_t> plan_id;
+
+    /** Distinct plan index -> its representative request position (the
+     *  first one asking for it), which tags its match lines. */
+    std::vector<size_t> tag;
+
+    /** Per request position, its distinct query's entry of @p counts
+     *  (duplicates repeat it). */
+    std::vector<size_t> perPosition(const std::vector<size_t>& counts) const;
+};
 
 /**
  * A compiled, immutable, shareable evaluation plan for one query set.
@@ -46,7 +99,7 @@ namespace jsonski::service {
  * serves any number of concurrent requests).  Duplicates in the
  * compiled list collapse, so `$.a,$.a` compiles to a single-query
  * plan; callers map request positions onto the distinct queries with
- * path::QuerySet::mapOnto(query_texts).
+ * mapRequest().
  */
 struct Plan
 {
@@ -62,27 +115,42 @@ struct Plan
 
     /** Distinct query count (match-frame / per-distinct index range). */
     size_t queryCount() const { return query_texts.size(); }
+
+    /**
+     * The one way jsq and jsqd evaluate a plan.  Streams @p src through
+     * the engine in @p chunk_bytes chunks — one document, or with
+     * @p records a stream of top-level records read by RecordReader
+     * with a @p chunk_bytes buffer, each evaluated on its own — and
+     * hands every match to @p sink with its distinct plan index (0 for
+     * a single-query plan).
+     *
+     * The sink owns the match limit: throwing ski::StopStreaming ends
+     * the whole run, records mode included, with a valid partial
+     * result.  Error positions are stream offsets in both modes: a
+     * record's engine errors are rebased by the record's start.
+     *
+     * @throws ParseError on malformed input, and whatever @p sink
+     *         throws, unchanged.
+     */
+    RunResult run(intervals::ChunkSource& src, ski::MultiSink& sink,
+                  size_t chunk_bytes, bool records) const;
+
+    /**
+     * Map @p request (a normalized request list) onto this plan.
+     * @throws PathError when the plan does not serve the request's set.
+     */
+    RequestMap mapRequest(const path::QuerySet& request) const;
 };
 
 /**
- * Compile @p query_list into a Plan (no cache involved).  This is the
- * one plan-construction path shared by the cache, jsq, and jsqc, so
- * the CLI and the service always agree on query-list syntax.
+ * Compile @p query_list into a Plan (no cache involved), keeping the
+ * list's first-occurrence order.  The plan cache and jsq both build
+ * plans here, so the CLI and the service always agree on query-list
+ * syntax.
  *
  * @throws PathError on a malformed query.
  */
 std::shared_ptr<const Plan> compilePlan(std::string_view query_list);
-
-/**
- * The plan-cache key for @p query_list: split on top-level commas
- * (quote-aware, so filter string literals may contain commas and
- * brackets), each query parsed and reprinted in its canonical form,
- * then sorted, deduplicated, and re-joined — the *set* normal form, so
- * `$.a,$.b`, `$.b, $['a']`, and `$.b,$.a,$.a` yield the same key.
- *
- * @throws PathError on a malformed query.
- */
-std::string canonicalQueryList(std::string_view query_list);
 
 /**
  * Counter snapshot of one PlanCache — summable, so a server holding
@@ -126,7 +194,7 @@ class PlanCache
      *
      * @param was_hit     Out: true when the plan came from the cache.
      * @param request_set Out: the request's normalized QuerySet —
-     *        `request_set->mapOnto(plan->query_texts)` yields the
+     *        `plan->mapRequest(*request_set)` yields the
      *        request-position -> distinct-plan-index map the caller
      *        needs to tag frames and fill per-position counts.
      * @throws PathError on a malformed query (nothing is inserted).

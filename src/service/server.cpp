@@ -23,7 +23,6 @@
 #include "intervals/chunk_source.h"
 #include "kernels/kernel.h"
 #include "service/protocol.h"
-#include "ski/record_reader.h"
 #include "ski/sinks.h"
 #include "telemetry/export.h"
 #include "util/deadline.h"
@@ -395,69 +394,48 @@ class BoundedSource final : public intervals::ChunkSource
 };
 
 /**
- * Match receiver shared by the single- and multi-query paths: frames
- * every match onto the wire (unless count-only), enforces the client's
- * `limit=` via StopStreaming (a successful early end) and the server's
- * max_matches cap via ParseError(MatchLimitExceeded) (a typed
- * rejection).
+ * Match receiver for every request: frames each match onto the wire
+ * (unless count-only), tagged with the representative request position
+ * of its distinct query, so a request repeating a query sees frames
+ * tagged with the first position that asked for it.  It enforces the
+ * client's `limit=` via StopStreaming (a successful early end) and the
+ * server's max_matches cap via ParseError(MatchLimitExceeded) (a typed
+ * rejection).  The MatchSink side serves the doc= warm path.
  */
 class WireSink final : public path::MatchSink, public ski::MultiSink
 {
   public:
     WireSink(ConnWriter& writer, bool count_only, size_t client_limit,
-             size_t server_cap)
+             size_t server_cap, std::vector<size_t> tags)
         : writer_(writer),
           count_only_(count_only),
           client_limit_(client_limit),
-          server_cap_(server_cap)
+          server_cap_(server_cap),
+          tags_(std::move(tags))
     {}
 
     void
     onMatch(std::string_view value) override
     {
-        deliver(0, value);
+        onMatch(0, value);
     }
 
     void
-    onMatch(size_t query_index, std::string_view value) override
-    {
-        deliver(query_index, value);
-    }
-
-    size_t count = 0;
-
-    /**
-     * Frame tag per distinct plan index — the representative request
-     * position of each distinct query, so a request repeating a query
-     * sees frames tagged with the first position that asked for it.
-     * Identity when unset (duplicate-free lists need no remap).
-     */
-    void setFrameTags(std::vector<size_t> tags)
-    {
-        tags_ = std::move(tags);
-    }
-
-    /** True once the client-requested limit ended the pass. */
-    bool clientLimitReached() const
-    {
-        return client_limit_ != 0 && count >= client_limit_;
-    }
-
-  private:
-    void
-    deliver(size_t qi, std::string_view value)
+    onMatch(size_t qi, std::string_view value) override
     {
         if (server_cap_ != 0 && count >= server_cap_)
             throw ParseError(ErrorCode::MatchLimitExceeded,
                              "server match cap reached", 0);
         ++count;
         if (!count_only_)
-            writer_.append(
-                encodeMatch(qi < tags_.size() ? tags_[qi] : qi, value));
+            writer_.append(encodeMatch(tags_[qi], value));
         if (client_limit_ != 0 && count >= client_limit_)
             throw ski::StopStreaming{};
     }
 
+    size_t count = 0;
+
+  private:
     ConnWriter& writer_;
     bool count_only_;
     size_t client_limit_;
@@ -1072,16 +1050,7 @@ Server::handleConnection(Shard& sh, int fd)
         }
         trailer.plan = plan_hit ? "hit" : "miss";
 
-        // Map request positions onto the plan's distinct queries (the
-        // plan is compiled from the sorted, deduplicated set key, so
-        // its order need not match the request's) and pick each
-        // distinct query's representative: the first request position
-        // asking for it, which tags its match frames.
-        std::vector<size_t> plan_id =
-            request_set.mapOnto(plan->query_texts);
-        std::vector<size_t> rep(plan->queryCount(), 0);
-        for (size_t i = plan_id.size(); i-- > 0;)
-            rep[plan_id[i]] = i;
+        RequestMap map = plan->mapRequest(request_set);
 
         // The body gets its own absolute envelope, re-armed now: the
         // entire stream must complete within read_deadline_ms.
@@ -1095,55 +1064,23 @@ Server::handleConnection(Shard& sh, int fd)
                 : socket_src;
 
         WireSink sink(writer, header.count_only, header.limit,
-                      config_.max_matches);
-        sink.setFrameTags(rep);
-        ski::FastForwardStats stats;
-        // Match counts per *distinct* plan index; the trailer expands
-        // them to one entry per request position (duplicates repeat).
-        std::vector<size_t> dist_counts(plan->queryCount(), 0);
-        auto fillPerQuery = [&](Trailer& t) {
-            if (header.queries.size() < 2)
-                return;
-            t.per_query.resize(plan_id.size());
-            t.qmap.resize(plan_id.size());
-            for (size_t i = 0; i < plan_id.size(); ++i) {
-                t.per_query[i] = dist_counts[plan_id[i]];
-                t.qmap[i] = rep[plan_id[i]];
-            }
-        };
+                      config_.max_matches, map.tag);
+        RunResult result;
         try {
             telemetry::Scope scope(reg);
-            if (header.records) {
-                ski::RecordReader reader(src, config_.chunk_bytes);
-                std::string_view record;
-                while (reader.next(record)) {
-                    if (plan->single) {
-                        ski::StreamResult r =
-                            plan->single->run(record, &sink);
-                        stats.merge(r.stats);
-                        dist_counts[0] = sink.count;
-                    } else {
-                        ski::MultiStreamer::Result r =
-                            plan->multi->run(record, &sink);
-                        stats.merge(r.stats);
-                        for (size_t qi = 0; qi < r.matches.size(); ++qi)
-                            dist_counts[qi] += r.matches[qi];
-                    }
-                    if (sink.clientLimitReached())
-                        break;
-                }
-            } else if (header.has_doc) {
-                // doc= : a repeat-query document.  Materialize the
-                // sized body (bounded by max_doc_bytes), consult the
-                // shard's index cache, and answer skips from the
-                // cached semi-index when the document supports one.
+            // doc= : a repeat-query document.  Materialize the sized
+            // body (bounded by max_doc_bytes) and consult the shard's
+            // index cache: a usable semi-index answers the skips warm;
+            // otherwise the resident body streams like any other.
+            std::string body;
+            std::shared_ptr<const index::StructuralIndex> ix;
+            if (header.has_doc) {
                 trailer.index = "none";
                 if (header.length > config_.max_doc_bytes)
                     throw ParseError(
                         ErrorCode::RecordTooLarge,
                         "doc= body exceeds the resident document cap",
                         0);
-                std::string body;
                 body.reserve(header.length);
                 std::vector<char> buf(
                     std::min<size_t>(config_.chunk_bytes,
@@ -1157,44 +1094,26 @@ Server::handleConnection(Shard& sh, int fd)
                     throw ParseError(ErrorCode::UnexpectedEnd,
                                      "connection closed mid-body",
                                      body.size());
-                std::shared_ptr<const index::StructuralIndex> ix;
                 bool was_hit = false;
                 if (config_.doc_cache_bytes != 0 && plan->single)
                     ix = sh.doc_cache.get(body, &was_hit);
                 // docSize() guards the (astronomically unlikely)
                 // same-hash different-length collision; the hash
                 // itself is the cache key, so it already matches.
-                if (ix && ix->usable() &&
-                    ix->docSize() == body.size()) {
+                if (ix && ix->usable() && ix->docSize() == body.size())
                     trailer.index = was_hit ? "hit" : "miss";
-                    ski::StreamResult r =
-                        plan->single->runIndexed(body, *ix, &sink);
-                    stats.merge(r.stats);
-                    dist_counts[0] = sink.count;
-                } else if (plan->single) {
-                    ski::StreamResult r =
-                        plan->single->run(body, &sink);
-                    stats.merge(r.stats);
-                    dist_counts[0] = sink.count;
-                } else {
-                    // Multi-query doc= requests stream the resident
-                    // bytes; the semi-index only serves the
-                    // single-query skipper today.
-                    ski::MultiStreamer::Result r =
-                        plan->multi->run(body, &sink);
-                    stats.merge(r.stats);
-                    dist_counts = r.matches;
-                }
-            } else if (plan->single) {
+                else
+                    ix.reset();
+            }
+            if (ix) {
                 ski::StreamResult r =
-                    plan->single->run(src, &sink, config_.chunk_bytes);
-                stats.merge(r.stats);
-                dist_counts[0] = sink.count;
+                    plan->single->runIndexed(body, *ix, &sink);
+                result.matches = {r.matches};
+                result.stats = r.stats;
             } else {
-                ski::MultiStreamer::Result r =
-                    plan->multi->run(src, &sink, config_.chunk_bytes);
-                stats.merge(r.stats);
-                dist_counts = r.matches;
+                intervals::ViewSource body_src(body);
+                result = plan->run(header.has_doc ? body_src : src, sink,
+                                   config_.chunk_bytes, header.records);
             }
             bytes_in = socket_src.delivered();
         } catch (const ParseError& e) {
@@ -1203,8 +1122,6 @@ Server::handleConnection(Shard& sh, int fd)
             trailer.error_pos = e.position();
             trailer.matches = sink.count;
             trailer.bytes_in = bytes_in;
-            trailer.ff = stats.skipped;
-            fillPerQuery(trailer);
             writer.append(encodeTrailer(trailer));
             writer.flush();
             bumpError(sh, bytes_in, writer.total(), reg, e.code());
@@ -1215,8 +1132,11 @@ Server::handleConnection(Shard& sh, int fd)
         trailer.ok = true;
         trailer.matches = sink.count;
         trailer.bytes_in = bytes_in;
-        trailer.ff = stats.skipped;
-        fillPerQuery(trailer);
+        trailer.ff = result.stats.skipped;
+        if (header.queries.size() > 1) {
+            trailer.per_query = map.perPosition(result.matches);
+            trailer.qmap = map.perPosition(map.tag);
+        }
         writer.append(encodeTrailer(trailer));
         writer.flush();
         bumpOk(sh, bytes_in, writer.total(), reg);

@@ -20,11 +20,12 @@
  *
  * The moment a connection shows its first request byte its shard hands
  * it to the shard's worker pool; the worker runs the whole request —
- * bounded header read, plan-cache lookup, chunked streaming evaluation
- * directly over a SocketChunkSource (the body is never materialized),
- * incremental match frames, status trailer — and closes the
- * connection.  One request per connection keeps the protocol EOF-
- * framable and the state machine worker-local.
+ * bounded header read, plan-cache lookup, one Plan::run streaming
+ * directly over a SocketChunkSource (the body is never materialized;
+ * only a `doc=` body is, for the index cache), incremental match
+ * frames, status trailer — and closes the connection.  One request
+ * per connection keeps the protocol EOF-framable and the state machine
+ * worker-local.
  *
  * Robustness envelope, all per connection and all *absolute* deadlines
  * (util/deadline.h — progress never re-arms a window, so slow-loris

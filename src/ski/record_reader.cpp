@@ -27,6 +27,7 @@ RecordReader::refill()
         std::memmove(buffer_.data(), buffer_.data() + begin_,
                      end_ - begin_);
         end_ -= begin_;
+        window_offset_ += begin_;
         begin_ = 0;
     }
     if (end_ == buffer_.size()) {
@@ -46,6 +47,7 @@ RecordReader::next(std::string_view& record)
         if (pending_next_ < pending_.size()) {
             auto [off, len] = pending_[pending_next_++];
             record = std::string_view(buffer_.data() + off, len);
+            record_offset_ = window_offset_ + off;
             ++records_read_;
             bytes_read_ += len;
             return true;
@@ -58,8 +60,14 @@ RecordReader::next(std::string_view& record)
         if (!eof_)
             refill();
         std::string_view window(buffer_.data() + begin_, end_ - begin_);
+        size_t base = window_offset_ + begin_; // window start in stream
         size_t tail = 0;
-        auto spans = scanRecords(window, &tail);
+        std::vector<std::pair<size_t, size_t>> spans;
+        try {
+            spans = scanRecords(window, &tail);
+        } catch (const ParseError& e) {
+            throw e.shifted(base);
+        }
         pending_.clear();
         pending_next_ = 0;
         for (auto [off, len] : spans)
@@ -71,7 +79,7 @@ RecordReader::next(std::string_view& record)
                 if (tail < window.size())
                     throw ParseError(ErrorCode::UnterminatedRecord,
                                      "unterminated trailing record",
-                                     bytes_read_ + tail);
+                                     base + tail);
                 begin_ = end_; // only whitespace left
                 return false;
             }

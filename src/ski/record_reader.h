@@ -9,6 +9,12 @@
  * Records are delimited with the bit-parallel record scanner; a record
  * must fit in the buffer (the reader grows it once if a single record
  * exceeds the configured size, so progress is always possible).
+ *
+ * Every position is an offset in the whole stream, whatever the buffer
+ * size: scanner errors point at the offending byte, an unterminated
+ * trailing record at its opening byte (DESIGN.md §7), and offset()
+ * tells a caller where the current record starts so it can rebase
+ * errors from an engine run over the record.
  */
 #ifndef JSONSKI_SKI_RECORD_READER_H
 #define JSONSKI_SKI_RECORD_READER_H
@@ -51,6 +57,9 @@ class RecordReader
      */
     bool next(std::string_view& record);
 
+    /** Stream offset of the record last returned by next(). */
+    size_t offset() const { return record_offset_; }
+
     /** Records delivered so far. */
     size_t recordsRead() const { return records_read_; }
 
@@ -69,6 +78,8 @@ class RecordReader
     std::vector<char> buffer_;
     size_t begin_ = 0; ///< first unconsumed byte
     size_t end_ = 0;   ///< one past the last valid byte
+    size_t window_offset_ = 0; ///< stream offset of buffer_[0]
+    size_t record_offset_ = 0; ///< stream offset of the last record
     bool eof_ = false;
     size_t records_read_ = 0;
     size_t bytes_read_ = 0;

@@ -53,9 +53,12 @@ scanRecords(std::string_view stream, size_t* tail_start)
 
         // Slow path: walk the structural bits of this block in order.
         // Between records, every non-whitespace byte is also examined
-        // so stray characters are rejected.
+        // so stray characters are rejected — a quote included, so a
+        // stray string is caught at its opening quote rather than
+        // passed over as string content.
         uint64_t interesting = opens | closes;
-        uint64_t nonws = ~intervals::rawWhitespaceBits(d) & outside;
+        uint64_t nonws =
+            (~intervals::rawWhitespaceBits(d) & outside) | s.quote;
         uint64_t pending = interesting | (in_record ? 0 : nonws);
         while (pending != 0) {
             int off = bits::trailingZeros(pending);
@@ -95,7 +98,7 @@ scanRecords(std::string_view stream, size_t* tail_start)
     }
     if (in_record)
         throw ParseError(ErrorCode::UnterminatedRecord, "unterminated record",
-                         stream.size());
+                         record_start);
     return spans;
 }
 

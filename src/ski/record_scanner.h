@@ -34,7 +34,9 @@ namespace jsonski::ski {
  *        follows) — the resume point for incremental readers.
  *
  * @throws jsonski::ParseError on stray characters between records,
- *         unbalanced containers, or a scalar at the top level.
+ *         unbalanced containers, or a scalar at the top level (at the
+ *         offending byte), and on an unterminated trailing record when
+ *         @p tail_start is null (at the record's opening byte).
  */
 std::vector<std::pair<size_t, size_t>>
 scanRecords(std::string_view stream, size_t* tail_start = nullptr);

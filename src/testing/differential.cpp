@@ -6,6 +6,7 @@
 
 #include "baseline/dom/query.h"
 #include "gen/datasets.h"
+#include "intervals/chunk_source.h"
 #include "index/structural_index.h"
 #include "json/text.h"
 #include "json/validate.h"
@@ -14,6 +15,7 @@
 #include "path/parser.h"
 #include "path/queryset.h"
 #include "ski/multi.h"
+#include "ski/record_reader.h"
 #include "ski/record_scanner.h"
 #include "ski/streamer.h"
 #include "testing/mutator.h"
@@ -209,8 +211,6 @@ runDifferentialFuzz(const FuzzConfig& config)
     // document-mutation sequence, so (seed, iteration) still replays
     // the same mutant with or without the grammar leg.
     QueryMutator query_mutator(config.seed ^ 0x9e3779b97f4a7c15ull);
-    // Same decorrelation for the corrupted-sidecar byte picks.
-    Rng sidecar_rng(config.seed ^ 0xc2b2ae3d27d4eb4full);
     FuzzReport report;
     std::vector<Mutation> edits;
     const std::vector<const kernels::Kernel*> replay_kernels =
@@ -644,41 +644,24 @@ runDifferentialFuzz(const FuzzConfig& config)
                               std::to_string(warm.values.size()) +
                               " values)" + ictx);
             }
-
-            // Corrupted-sidecar probe: flip one random byte of the
-            // serialized index — deserialize() must reject it with
-            // IndexError carrying an offset inside the bytes.  The
-            // checksum makes every single-byte flip detectable.
-            std::string sidecar = ix.serialize();
-            size_t at = sidecar_rng.below(sidecar.size());
-            sidecar[at] = static_cast<char>(
-                sidecar[at] ^
-                static_cast<char>(1 + sidecar_rng.below(255)));
-            ++report.index_mutations;
-            try {
-                (void)index::StructuralIndex::deserialize(sidecar);
-                ++report.escapes;
-                recordFailure("corrupted sidecar accepted: byte " +
-                              std::to_string(at) + ictx);
-            } catch (const index::IndexError& e) {
-                if (e.offset() > sidecar.size()) {
-                    ++report.escapes;
-                    recordFailure(
-                        "sidecar rejection offset past the bytes: " +
-                        std::string(e.what()) + ictx);
-                }
-            } catch (const std::exception& e) {
-                ++report.escapes;
-                recordFailure(std::string("sidecar rejection escape: ") +
-                              e.what() + ictx);
-            }
         }
 
         // The record scanner sees the same mutants: it must also obey
-        // the result-or-ParseError contract.
+        // the result-or-ParseError contract, and the incremental
+        // RecordReader (256-byte buffer, chunked source) must agree
+        // with it: the scanner's records — those before the scanner's
+        // error, if any; the reader may throw before delivering them
+        // all — then the same error at the same stream offset.
+        std::vector<std::pair<size_t, size_t>> spans;
+        std::string scan_error; // empty: the scanner accepted the mutant
         try {
-            (void)ski::scanRecords(mutant);
+            spans = ski::scanRecords(mutant);
         } catch (const ParseError& e) {
+            scan_error = std::string(errorCodeName(e.code())) + "@" +
+                         std::to_string(e.position());
+            size_t tail = 0;
+            spans = ski::scanRecords(
+                std::string_view(mutant).substr(0, e.position()), &tail);
             if (e.position() > mutant.size()) {
                 ++report.escapes;
                 recordFailure(std::string("scanRecords position past the "
@@ -689,6 +672,41 @@ runDifferentialFuzz(const FuzzConfig& config)
             ++report.escapes;
             recordFailure(std::string("scanRecords escape: ") + e.what() +
                           " " + context);
+            continue;
+        }
+        ++report.record_replays;
+        size_t chunk = 1 + iter % 97;
+        std::string reader_error;
+        size_t n = 0;
+        bool same = true;
+        try {
+            intervals::SplitSource src(mutant, chunk);
+            ski::RecordReader reader(src, 256);
+            std::string_view rec;
+            for (; reader.next(rec); ++n)
+                same = same && n < spans.size() &&
+                       reader.offset() == spans[n].first &&
+                       rec.size() == spans[n].second;
+        } catch (const ParseError& e) {
+            reader_error = std::string(errorCodeName(e.code())) + "@" +
+                           std::to_string(e.position());
+        } catch (const std::exception& e) {
+            ++report.escapes;
+            recordFailure(std::string("RecordReader escape: ") + e.what() +
+                          " " + context);
+            continue;
+        }
+        if (!same || reader_error != scan_error ||
+            (scan_error.empty() && n != spans.size())) {
+            ++report.divergences;
+            recordFailure("RecordReader vs scanRecords: " +
+                          std::to_string(n) + " records then " +
+                          (reader_error.empty() ? "end" : reader_error) +
+                          " vs " + std::to_string(spans.size()) +
+                          " then " +
+                          (scan_error.empty() ? "end" : scan_error) +
+                          " chunk=" + std::to_string(chunk) + " " +
+                          context);
         }
     }
     return report;

@@ -38,11 +38,7 @@
  * Streamer::runIndexed, with the plain streaming run as oracle —
  * values, ErrorCode, and error position must be identical whether the
  * skips were answered from the index's bitmaps (usable mutant) or the
- * unusable-index fallback streamed.  Alongside, one corrupted-sidecar
- * probe per mutant flips a random byte of the serialized index and
- * requires deserialize() to reject it with IndexError (offset inside
- * the bytes); accepting damaged bytes, or any other exception, is an
- * escape.
+ * unusable-index fallback streamed.
  *
  * Grammar-fuzz mode: alongside the fixed query list, every mutant is
  * evaluated under one freshly generated query from QueryMutator.
@@ -67,6 +63,13 @@
  * test pins exact error agreement on crafted malformed documents).
  * Alongside, one set salted with a nearMiss() query must either parse
  * entirely or be rejected atomically with PathError (set_rejects).
+ *
+ * Record-stream mode: every mutant is also split into top-level
+ * records twice — by scanRecords over the whole buffer and by the
+ * incremental RecordReader (256-byte buffer, adversarially chunked
+ * source).  The reader must deliver the scanner's records at the same
+ * stream offsets and then fail exactly where the scanner does: same
+ * ErrorCode, same absolute position.
  */
 #ifndef JSONSKI_TESTING_DIFFERENTIAL_H
 #define JSONSKI_TESTING_DIFFERENTIAL_H
@@ -108,8 +111,8 @@ struct FuzzReport
     size_t grammar_rejects = 0; ///< near-miss queries rejected by the parser
     size_t set_runs = 0;    ///< batched-vs-sequential query-set replays
     size_t set_rejects = 0; ///< near-miss-salted sets rejected atomically
-    size_t index_replays = 0;   ///< warm (semi-indexed) replays vs streaming
-    size_t index_mutations = 0; ///< corrupted sidecars rejected by deserialize
+    size_t index_replays = 0;  ///< warm (semi-indexed) replays vs streaming
+    size_t record_replays = 0; ///< RecordReader replays vs scanRecords
 
     /** Reproducible descriptions of every recorded failure. */
     std::vector<std::string> failures;

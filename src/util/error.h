@@ -117,6 +117,18 @@ class ParseError : public std::runtime_error
     /** The failure kind. */
     ErrorCode code() const { return code_; }
 
+    /**
+     * The same error @p offset bytes later: for an engine that ran over
+     * a slice starting at @p offset of a larger stream.
+     */
+    ParseError
+    shifted(size_t offset) const
+    {
+        std::string msg = what();
+        msg.resize(msg.rfind(" (at byte "));
+        return ParseError(code_, std::move(msg), position_ + offset);
+    }
+
   private:
     ErrorCode code_;
     size_t position_;

@@ -154,11 +154,12 @@ TEST(FuzzSmoke, TenThousandMutantsNoDivergenceNoEscape)
     // seen the parser reject a healthy share of the near-misses.
     EXPECT_EQ(report.grammar_runs, report.executed);
     EXPECT_GT(report.grammar_rejects, report.executed / 4);
-    // The index leg must have replayed the warm path and probed a
-    // corrupted sidecar for a healthy share of the mutants (only ones
-    // whose streaming run escaped are skipped).
+    // The index leg must have replayed the warm path for a healthy
+    // share of the mutants (only ones whose streaming run escaped are
+    // skipped).
     EXPECT_GE(report.index_replays, report.executed / 2);
-    EXPECT_EQ(report.index_mutations, report.index_replays);
+    // The record-stream leg must have split every mutant both ways.
+    EXPECT_EQ(report.record_replays, report.executed);
     // The query-set leg must have run one batched-vs-sequential pass
     // per mutant, and the near-miss-salted sets must have been
     // rejected atomically a healthy share of the time.

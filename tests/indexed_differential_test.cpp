@@ -322,20 +322,3 @@ TEST(IndexedDifferential, InvalidButCleanDocumentRepaysPlainOnMismatch)
         }
     }
 }
-
-TEST(IndexedDifferential, SidecarReplayAfterRoundTrip)
-{
-    // Serialize -> deserialize -> warm run: the sidecar must be as
-    // good as the freshly built index.
-    std::vector<std::string> corpus = defaultCorpus();
-    path::PathQuery q = path::parse("$..id");
-    for (size_t i = 0; i < corpus.size(); i += 3) {
-        const std::string& doc = corpus[i];
-        StructuralIndex ix = StructuralIndex::deserialize(
-            StructuralIndex::build(doc).serialize());
-        ASSERT_TRUE(ix.describes(doc));
-        Observed cold = runPlain(doc, q);
-        Observed warm = runWarm(doc, q, ix);
-        EXPECT_TRUE(cold == warm) << "doc " << i;
-    }
-}

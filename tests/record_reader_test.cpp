@@ -7,6 +7,7 @@
 
 #include "gen/datasets.h"
 #include "path/parser.h"
+#include "ski/record_scanner.h"
 #include "ski/streamer.h"
 #include "util/error.h"
 
@@ -169,4 +170,58 @@ TEST(RecordReader, EndToEndQueryOverGeneratedFeed)
     }
     EXPECT_EQ(records, data.count());
     EXPECT_EQ(matches, data.count());
+}
+
+TEST(RecordReader, MalformedStreamsFailWhereTheScannerDoes)
+{
+    // NDJSON damaged well past the first window: at every buffer size
+    // the reader must report the scanner's ErrorCode at the scanner's
+    // stream offset (the offending byte, or an unterminated record's
+    // opening byte), after delivering only records the scanner also
+    // found before that offset.
+    std::string lines;
+    for (int i = 0; i < 12000; ++i)
+        lines += "{\"a\":" + std::to_string(i % 10) + "}\n";
+    std::string stray = lines; // a record's '{' turned stray
+    stray[80000] = 'x';
+    std::string unbalanced = lines; // a '}' between two records
+    unbalanced[70007] = '}';
+    std::string scalar = lines; // a scalar at the root
+    scalar.insert(90000, "42\n");
+    const std::vector<std::pair<std::string, size_t>> cases = {
+        {stray, 80000},
+        {unbalanced, 70007},
+        {lines + "{\"cut\":[1,", lines.size()},
+        {scalar, 90000},
+    };
+    for (const auto& [text, pos] : cases) {
+        jsonski::ErrorCode code = jsonski::ErrorCode::Unspecified;
+        try {
+            jsonski::ski::scanRecords(text);
+            FAIL() << "scanner accepted damage at " << pos;
+        } catch (const ParseError& e) {
+            ASSERT_EQ(e.position(), pos);
+            code = e.code();
+        }
+        size_t tail = 0;
+        auto before = jsonski::ski::scanRecords(
+            std::string_view(text).substr(0, pos), &tail);
+        for (size_t buffer : {size_t{256}, size_t{4096}, size_t{1} << 20}) {
+            std::istringstream in(text);
+            RecordReader reader(in, buffer);
+            std::string_view rec;
+            size_t n = 0;
+            try {
+                for (; reader.next(rec); ++n) {
+                    ASSERT_LT(n, before.size()) << "buffer " << buffer;
+                    EXPECT_EQ(reader.offset(), before[n].first);
+                    EXPECT_EQ(rec.size(), before[n].second);
+                }
+                ADD_FAILURE() << "reader accepted damage at " << pos;
+            } catch (const ParseError& e) {
+                EXPECT_EQ(e.code(), code) << "buffer " << buffer;
+                EXPECT_EQ(e.position(), pos) << "buffer " << buffer;
+            }
+        }
+    }
 }

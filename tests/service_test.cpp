@@ -20,6 +20,7 @@
 #include <array>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "path/parser.h"
@@ -697,6 +698,68 @@ TEST(Service, RecordsModeStreamsNdjson)
         EXPECT_EQ(r.matches[0].second, "1");
         EXPECT_EQ(r.matches[1].second, "2");
         EXPECT_EQ(r.matches[2].second, "3");
+    }
+    server.stop();
+}
+
+TEST(Service, RecordsModeErrorsAreStreamOffsets)
+{
+    // Damage past the server's first 64 KiB record window, and inside
+    // one record: the trailer must carry the stream offset of the stray
+    // byte, of a truncated last record's opening byte, and of the
+    // engine's error rebased by its record's start — for one query and
+    // for a list, at every client chunking.
+    std::string lines;
+    for (int i = 0; i < 12000; ++i)
+        lines += "{\"a\":1}\n";
+    const std::string bad_record = "{\"a\" 1}";
+    const size_t bad_at = 70000; // a record boundary (8-byte lines)
+    std::string engine_bad = lines;
+    engine_bad.replace(bad_at, bad_record.size(), bad_record);
+    std::string stray = lines;
+    stray[80000] = 'x';
+
+    Server server;
+    server.start();
+    for (std::vector<std::string> queries :
+         {std::vector<std::string>{"$.a"},
+          std::vector<std::string>{"$.a", "$.b"}}) {
+        // The record on its own, through the engine the plan picks.
+        auto plan = compilePlan(joinQueries(queries));
+        size_t in_record = 0;
+        ErrorCode record_code = ErrorCode::Unspecified;
+        try {
+            if (plan->single)
+                plan->single->run(bad_record);
+            else
+                plan->multi->run(bad_record);
+            FAIL() << "the damaged record parsed";
+        } catch (const ParseError& e) {
+            in_record = e.position();
+            record_code = e.code();
+        }
+        const std::vector<std::tuple<std::string, ErrorCode, size_t>>
+            cases = {
+                {stray, ErrorCode::StrayByte, 80000},
+                {lines + "{\"a\":", ErrorCode::UnterminatedRecord,
+                 lines.size()},
+                {engine_bad, record_code, bad_at + in_record},
+            };
+        RequestHeader h;
+        h.queries = queries;
+        h.records = true;
+        for (const auto& [body, code, pos] : cases) {
+            for (size_t chunk : kChunkings) {
+                ClientResult r =
+                    runRequest(server, h, body, chunked(chunk));
+                ASSERT_TRUE(r.has_trailer);
+                EXPECT_FALSE(r.trailer.ok);
+                EXPECT_EQ(r.trailer.code, code)
+                    << queries.size() << " queries, chunk=" << chunk;
+                EXPECT_EQ(r.trailer.error_pos, pos)
+                    << queries.size() << " queries, chunk=" << chunk;
+            }
+        }
     }
     server.stop();
 }
