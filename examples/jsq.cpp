@@ -8,6 +8,9 @@
  *   jsq -n K <query> [file]    stop after K matches in total (early
  *                              termination)
  *   jsq -r <query> [file]      treat input as a stream of records
+ *                              (NDJSON or concatenated objects/arrays),
+ *                              evaluated one after another on the same
+ *                              cursor
  *   jsq -s <query> [file]      print the fast-forward statistics
  *   jsq -e <query>             print the evaluation plan and exit
  *   jsq -p <query> [file]      profile: suppress matches, print a JSON
@@ -19,14 +22,14 @@
  *                              (JSONSKI_TELEMETRY=OFF) the telemetry
  *                              section is present but zeroed.
  *   --chunk-bytes N            read the input in N-byte chunks (default
- *                              64 KiB); with -r, the record reader's
- *                              buffer size (default 1 MiB)
+ *                              64 KiB, in every mode)
  *
  * Reads from stdin when no file is given.  Every mode streams: the
  * input — file, pipe, or stdin — is pulled through the engine chunk by
  * chunk and never materialized as a whole, so resident memory is
  * bounded by the chunk size plus the largest value span still being
- * emitted (DESIGN.md §9); with -r, plus the record being evaluated.
+ * emitted (DESIGN.md §9), records mode included.  Error positions are
+ * stream offsets and do not depend on the chunk size.
  *
  * Multiple queries may be passed separated by commas; they are
  * evaluated in ONE pass with the multi-query streamer, and -n counts
@@ -64,8 +67,8 @@ struct Options
     bool stats = false;
     bool explain_only = false;
     bool profile = false;
-    size_t limit = 0;       // 0 = unlimited
-    size_t chunk_bytes = 0; // 0 = the mode's default
+    size_t limit = 0; // 0 = unlimited
+    size_t chunk_bytes = ski::Streamer::kDefaultChunkBytes;
     std::vector<std::string> queries;
     std::string file;
 };
@@ -76,7 +79,9 @@ usage()
     std::fprintf(stderr,
                  "usage: jsq [-c] [-r] [-s] [-e] [-p] [-n K] "
                  "[--chunk-bytes N]\n"
-                 "           <query>[,<query>...] [file]\n");
+                 "           <query>[,<query>...] [file]\n"
+                 "  -r: the input is a stream of records (NDJSON); "
+                 "N: chunk size, default 65536\n");
     std::exit(2);
 }
 
@@ -163,31 +168,31 @@ class PrintSink : public ski::MultiSink
 };
 
 /**
- * -s report: whole-run fast-forward ratios, then how the input came in
- * (chunked ingestion, or the record count), then for query lists the
- * shared-trie shape and each distinct query's divergent-suffix replay
- * work (zero for queries fully resident in the trie).
+ * -s report: whole-run fast-forward ratios over the bytes read (with
+ * -r, the whole stream and its record count), how the input came in
+ * (chunked ingestion), then for query lists the shared-trie shape and
+ * each distinct query's divergent-suffix replay work (zero for queries
+ * fully resident in the trie).
  */
 void
 printStats(const service::Plan& plan, const service::RunResult& r,
            const std::vector<size_t>& tags, bool records)
 {
     size_t n = r.input_bytes;
-    std::fprintf(stderr, "fast-forwarded %.2f%% of %zu %sbytes (G1..G5:",
-                 r.stats.overallRatio(n) * 100, n,
-                 records ? "record " : "");
+    std::fprintf(stderr, "fast-forwarded %.2f%% of %zu bytes (G1..G5:",
+                 r.stats.overallRatio(n) * 100, n);
     for (size_t g = 0; g < ski::kGroupCount; ++g)
         std::fprintf(stderr, " %.1f%%",
                      r.stats.ratio(static_cast<ski::Group>(g), n) * 100);
+    std::fprintf(stderr, ")");
     if (records)
-        std::fprintf(stderr, ") across %zu records\n", r.records);
-    else
-        std::fprintf(stderr,
-                     "); chunked ingestion: %llu refills, %llu spill "
-                     "bytes, window peak %zu bytes\n",
-                     static_cast<unsigned long long>(r.ingest.refills),
-                     static_cast<unsigned long long>(r.ingest.spill_bytes),
-                     r.ingest.window_peak);
+        std::fprintf(stderr, " across %zu records", r.records);
+    std::fprintf(stderr,
+                 "; chunked ingestion: %llu refills, %llu spill bytes, "
+                 "window peak %zu bytes\n",
+                 static_cast<unsigned long long>(r.ingest.refills),
+                 static_cast<unsigned long long>(r.ingest.spill_bytes),
+                 r.ingest.window_peak);
     if (!plan.multi)
         return;
     std::fprintf(stderr,
@@ -288,14 +293,11 @@ main(int argc, char** argv)
         PrintSink sink(opt.count_only || opt.profile,
                        opt.queries.size() > 1, map.tag, opt.limit);
         intervals::FileSource src(f);
-        size_t chunk_bytes = opt.chunk_bytes != 0 ? opt.chunk_bytes
-                             : opt.records ? size_t{1} << 20
-                                           : ski::Streamer::kDefaultChunkBytes;
         service::RunResult r;
         telemetry::Registry reg;
         {
             telemetry::Scope scope(reg);
-            r = plan->run(src, sink, chunk_bytes, opt.records);
+            r = plan->run(src, sink, opt.chunk_bytes, opt.records);
         }
         if (opt.count_only && opt.queries.size() == 1) {
             std::printf("%zu\n", r.total());

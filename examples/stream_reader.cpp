@@ -1,12 +1,14 @@
 /**
  * @file
- * Constant-memory stream processing: a large NDJSON feed is processed
- * through a small fixed buffer with the incremental RecordReader —
- * the paper's "memory consumption is configurable by adjusting the
- * input buffer size" claim, demonstrated end to end.
+ * Constant-memory stream processing: a large NDJSON feed is queried
+ * through a 64 KB window in records mode — one cursor over the whole
+ * feed, the same Plan::run call jsq -r and jsqd make — realizing the
+ * paper's "memory consumption is configurable by adjusting the input
+ * buffer size" claim end to end.
  *
- * The example writes a feed to a temporary file, then queries it with
- * a 64 KB window while the feed itself is tens of MB.
+ * The example writes a feed to a temporary file, then runs two queries
+ * over it in one pass while the feed itself is tens of MB, and prints
+ * the window's high-water mark.
  *
  * Build & run:  ./examples/stream_reader [MB]
  */
@@ -15,12 +17,22 @@
 #include <fstream>
 
 #include "gen/datasets.h"
-#include "path/parser.h"
-#include "ski/record_reader.h"
-#include "ski/streamer.h"
+#include "intervals/chunk_source.h"
+#include "service/plan_cache.h"
 #include "util/stopwatch.h"
 
 using namespace jsonski;
+
+namespace {
+
+/** Counts matches without keeping them. */
+class CountSink : public ski::MultiSink
+{
+  public:
+    void onMatch(size_t, std::string_view) override {}
+};
+
+} // namespace
 
 int
 main(int argc, char** argv)
@@ -41,30 +53,29 @@ main(int argc, char** argv)
         feed_records = feed.count();
     } // feed freed: from here on only the 64 KB window exists
 
-    std::ifstream in(path, std::ios::binary);
-    ski::RecordReader reader(in, 64 * 1024);
-    ski::Streamer names(path::parse("$.nm"));
-    ski::Streamer prices(path::parse("$.bmrpr.pr"));
+    std::FILE* f = std::fopen(path, "rb");
+    if (f == nullptr) {
+        std::perror(path);
+        return 1;
+    }
+    intervals::FileSource src(f);
+    auto plan = service::compilePlan("$.nm,$.bmrpr.pr");
+    CountSink sink;
 
     Stopwatch sw;
-    size_t name_matches = 0, price_matches = 0;
-    std::string_view record;
-    while (reader.next(record)) {
-        name_matches += names.run(record).matches;
-        price_matches += prices.run(record).matches;
-    }
+    service::RunResult r = plan->run(src, sink, 64 * 1024, true);
     double secs = sw.seconds();
+    std::fclose(f);
 
     std::printf("processed %zu records (%.1f MB) in %.3f s "
-                "(%.2f GB/s over two queries)\n",
-                reader.recordsRead(),
-                reader.bytesRead() / 1048576.0, secs,
-                2.0 * reader.bytesRead() / secs / 1e9);
-    std::printf("buffer window  : %zu KB (vs %.1f MB feed)\n",
-                reader.bufferSize() / 1024, feed_bytes / 1048576.0);
-    std::printf("names found    : %zu / %zu\n", name_matches,
+                "(%.2f GB/s, two queries in one pass)\n",
+                r.records, r.input_bytes / 1048576.0, secs,
+                r.input_bytes / secs / 1e9);
+    std::printf("window peak    : %zu KB (vs %.1f MB feed)\n",
+                r.ingest.window_peak / 1024, feed_bytes / 1048576.0);
+    std::printf("names found    : %zu / %zu\n", r.matches[0],
                 feed_records);
-    std::printf("marketplace pr : %zu\n", price_matches);
+    std::printf("marketplace pr : %zu\n", r.matches[1]);
     std::remove(path);
     return 0;
 }

@@ -201,10 +201,12 @@ char
 StreamCursor::skipWhitespace()
 {
     // Fast path: compact JSON rarely has whitespace at all; answer
-    // from the raw byte before touching any bitmap.
+    // from the raw byte before touching any bitmap.  The rule is the
+    // bitmap's (every byte <= 0x20 is whitespace), so a NUL byte is
+    // skipped like a space and '\0' only ever means end of input.
     if (pos_ < len_) {
         char c = *mem(pos_);
-        if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
+        if (static_cast<unsigned char>(c) > 0x20)
             return c;
     }
     while (!atEnd()) {
@@ -214,16 +216,15 @@ StreamCursor::skipWhitespace()
         if (candidates != 0) {
             size_t p = blockIndex() * kBlockSize +
                        static_cast<size_t>(bits::trailingZeros(candidates));
-            if (p >= len_) {
-                pos_ = len_;
-                return '\0';
-            }
+            if (p >= len_)
+                break; // the candidate is tail padding
             pos_ = p;
             return *mem(pos_);
         }
         pos_ = (blockIndex() + 1) * kBlockSize;
     }
     pos_ = len_;
+    end_seen_ = true;
     return '\0';
 }
 

@@ -134,12 +134,22 @@ class StreamCursor
     {
         if (pos_ < len_)
             return false;
-        if (eof_)
-            return true;
         // Refilling mutates only ingestion state, never the logical
         // stream; the const facade matches the whole-buffer mode.
-        return const_cast<StreamCursor*>(this)->atEndSlow();
+        auto* self = const_cast<StreamCursor*>(this);
+        if (!eof_ && !self->atEndSlow())
+            return false;
+        self->end_seen_ = true;
+        return true;
     }
+
+    /**
+     * True once the cursor has told a consumer that the input ended:
+     * atEnd() answered true, ensureBlock() false, or skipWhitespace()
+     * '\0'.  Records mode reads this to tell an engine that ran off
+     * the end of the stream from one that failed inside a record.
+     */
+    bool endSeen() const { return end_seen_; }
 
     /** Byte at the current position. @pre !atEnd() */
     char
@@ -213,11 +223,10 @@ class StreamCursor
     ensureBlock(size_t idx)
     {
         size_t start = idx * kBlockSize;
-        if (start < len_)
+        if (start < len_ || (!eof_ && refillTo(start + 1)))
             return true;
-        if (eof_)
-            return false;
-        return refillTo(start + 1);
+        end_seen_ = true;
+        return false;
     }
 
     /**
@@ -325,7 +334,8 @@ class StreamCursor
     /**
      * Skip whitespace from the current position using the whitespace
      * bitmaps and return the byte found, or '\0' at end of input.  The
-     * position lands on the returned byte.
+     * position lands on the returned byte.  Every byte <= 0x20 is
+     * whitespace (a NUL byte included), so '\0' always means the end.
      */
     char skipWhitespace();
 
@@ -438,6 +448,7 @@ class StreamCursor
 
     char tail_[kBlockSize] = {}; ///< padded copy of the final partial block
     bool tail_ready_ = false;
+    bool end_seen_ = false; ///< see endSeen()
 
     // --- chunked-mode state (inert in whole-buffer mode) -------------
     ChunkSource* src_ = nullptr;

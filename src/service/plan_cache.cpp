@@ -5,72 +5,28 @@
 #include "path/parser.h"
 #include "path/queryset.h"
 #include "service/protocol.h"
-#include "ski/record_reader.h"
-#include "ski/sinks.h"
 #include "util/error.h"
 
 namespace jsonski::service {
 
 namespace {
 
-/**
- * Puts both engines behind the caller's MultiSink (a single-query plan
- * reports as index 0) and notes how the sink ended a pass: a stop must
- * end the records loop too, and an error the sink threw is not the
- * record's, so it must not be rebased.
- */
-class RunSink final : public path::MatchSink, public ski::MultiSink
+/** Puts a single-query engine behind the caller's MultiSink, as
+ *  index 0. */
+class SingleSink final : public path::MatchSink
 {
   public:
-    explicit RunSink(ski::MultiSink& sink) : sink_(sink) {}
+    explicit SingleSink(ski::MultiSink& sink) : sink_(sink) {}
 
     void
     onMatch(std::string_view value) override
     {
-        onMatch(0, value);
+        sink_.onMatch(0, value);
     }
-
-    void
-    onMatch(size_t qi, std::string_view value) override
-    {
-        try {
-            sink_.onMatch(qi, value);
-        } catch (const ski::StopStreaming&) {
-            stopped = true;
-            throw;
-        } catch (...) {
-            failed = true;
-            throw;
-        }
-    }
-
-    bool stopped = false;
-    bool failed = false;
 
   private:
     ski::MultiSink& sink_;
 };
-
-void
-fold(RunResult& out, const ski::StreamResult& r)
-{
-    out.matches[0] += r.matches;
-    out.stats.merge(r.stats);
-    out.input_bytes += r.input_bytes;
-    out.ingest = r.ingest;
-}
-
-void
-fold(RunResult& out, const ski::MultiStreamer::Result& r)
-{
-    for (size_t qi = 0; qi < r.matches.size(); ++qi) {
-        out.matches[qi] += r.matches[qi];
-        out.per_query[qi].merge(r.per_query[qi]);
-    }
-    out.stats.merge(r.stats);
-    out.input_bytes += r.input_bytes;
-    out.ingest = r.ingest;
-}
 
 } // namespace
 
@@ -97,32 +53,28 @@ Plan::run(intervals::ChunkSource& src, ski::MultiSink& sink,
           size_t chunk_bytes, bool records) const
 {
     RunResult out;
-    out.matches.assign(queryCount(), 0);
-    out.per_query.assign(queryCount(), ski::FastForwardStats{});
-    RunSink bridge(sink);
-    if (!records) {
-        if (single)
-            fold(out, single->run(src, &bridge, chunk_bytes));
-        else
-            fold(out, multi->run(src, &bridge, chunk_bytes));
-        return out;
+    auto take = [&out](const auto& r) {
+        out.stats = r.stats;
+        out.input_bytes = r.input_bytes;
+        out.records = r.records;
+        out.ingest = r.ingest;
+    };
+    if (single) {
+        SingleSink bridge(sink);
+        ski::StreamResult r =
+            records ? single->runRecords(src, &bridge, chunk_bytes)
+                    : single->run(src, &bridge, chunk_bytes);
+        take(r);
+        out.matches = {r.matches};
+        out.per_query.resize(1);
+    } else {
+        ski::MultiStreamer::Result r =
+            records ? multi->runRecords(src, &sink, chunk_bytes)
+                    : multi->run(src, &sink, chunk_bytes);
+        take(r);
+        out.matches = std::move(r.matches);
+        out.per_query = std::move(r.per_query);
     }
-    ski::RecordReader reader(src, chunk_bytes);
-    std::string_view record;
-    while (!bridge.stopped && reader.next(record)) {
-        try {
-            if (single)
-                fold(out, single->run(record, &bridge));
-            else
-                fold(out, multi->run(record, &bridge));
-        } catch (const ParseError& e) {
-            if (bridge.failed)
-                throw;
-            throw e.shifted(reader.offset());
-        }
-    }
-    out.input_bytes = reader.bytesRead();
-    out.records = reader.recordsRead();
     return out;
 }
 

@@ -5,8 +5,8 @@
  *
  * Plan::run is how both front ends evaluate a query list: jsq over a
  * file or stdin, jsqd over a request body.  It owns the choice between
- * the single- and multi-query engines, the records loop, and the
- * merging of counts and fast-forward stats, so the two cannot drift.
+ * the single- and multi-query engines and between one document and a
+ * record stream, so the two cannot drift.
  *
  * Parsing a JSONPath list and building the streamer (single-query) or
  * the multi-query trie is pure per-query-text work; under serving
@@ -59,14 +59,14 @@ struct RunResult
      *  see MultiStreamer::Result::per_query). */
     std::vector<ski::FastForwardStats> per_query;
 
-    /** Bytes evaluated: the document bytes ingested, or in records mode
-     *  the record bytes (separators excluded). */
+    /** Bytes ingested: the document, or in records mode the whole
+     *  stream (separators included). */
     size_t input_bytes = 0;
 
     /** Records evaluated (records mode only). */
     size_t records = 0;
 
-    /** Chunked-ingestion accounting of a document run. */
+    /** Chunked-ingestion accounting of the run. */
     intervals::StreamCursor::IngestStats ingest;
 
     /** Matches across every query. */
@@ -119,15 +119,14 @@ struct Plan
     /**
      * The one way jsq and jsqd evaluate a plan.  Streams @p src through
      * the engine in @p chunk_bytes chunks — one document, or with
-     * @p records a stream of top-level records read by RecordReader
-     * with a @p chunk_bytes buffer, each evaluated on its own — and
-     * hands every match to @p sink with its distinct plan index (0 for
-     * a single-query plan).
+     * @p records a stream of top-level records evaluated on the same
+     * cursor (Streamer::runRecords, DESIGN.md §7 rule 2) — and hands
+     * every match to @p sink with its distinct plan index (0 for a
+     * single-query plan).
      *
      * The sink owns the match limit: throwing ski::StopStreaming ends
      * the whole run, records mode included, with a valid partial
-     * result.  Error positions are stream offsets in both modes: a
-     * record's engine errors are rebased by the record's start.
+     * result.  Error positions are stream offsets in both modes.
      *
      * @throws ParseError on malformed input, and whatever @p sink
      *         throws, unchanged.

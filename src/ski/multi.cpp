@@ -5,6 +5,7 @@
 #include "intervals/cursor.h"
 #include "json/text.h"
 #include "ski/chunk_override.h"
+#include "ski/records.h"
 #include "ski/sinks.h"
 #include "ski/skipper.h"
 #include "util/error.h"
@@ -160,12 +161,10 @@ class SuffixSink final : public path::MatchSink
 class MultiDriver
 {
   public:
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                std::string_view json, MultiSink* sink,
-                MultiStreamer::Result& result)
+    MultiDriver(const MultiStreamer& ms, std::string_view json,
+                MultiSink* sink, MultiStreamer::Result& result)
         : ms_(ms),
-          trie_(trie),
+          trie_(ms.trie_),
           cur_(json),
           skip_(cur_, &result.stats),
           sink_(sink),
@@ -173,12 +172,11 @@ class MultiDriver
           emit_bits_(ms.queryCount())
     {}
 
-    MultiDriver(const MultiStreamer& ms,
-                const std::vector<MultiStreamer::Node>& trie,
-                intervals::ChunkSource& source, size_t chunk_bytes,
-                MultiSink* sink, MultiStreamer::Result& result)
+    MultiDriver(const MultiStreamer& ms, intervals::ChunkSource& source,
+                size_t chunk_bytes, MultiSink* sink,
+                MultiStreamer::Result& result)
         : ms_(ms),
-          trie_(trie),
+          trie_(ms.trie_),
           cur_(source, chunk_bytes),
           skip_(cur_, &result.stats),
           sink_(sink),
@@ -197,11 +195,17 @@ class MultiDriver
     void
     run()
     {
-        char c = cur_.skipWhitespace();
-        if (c == '\0')
+        if (cur_.skipWhitespace() == '\0')
             throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
-        NodeSet root{0};
-        runValue(root, /*top=*/true);
+        runValue(root_, /*top=*/true);
+    }
+
+    /** Records mode: every top-level value of the stream in turn. */
+    void
+    runRecords()
+    {
+        forEachRecord(cur_, result_.records,
+                      [this] { runValue(root_, /*top=*/true); });
     }
 
   private:
@@ -290,7 +294,8 @@ class MultiDriver
 
         char c = cur_.skipWhitespace();
         if (c == '\0')
-            throw ParseError(ErrorCode::BadValue, "missing value", cur_.pos());
+            throw ParseError(ErrorCode::UnexpectedEnd,
+                             "unexpected end of input", cur_.pos());
         size_t start = cur_.pos();
         size_t saved = intervals::StreamCursor::kNoHold;
         if (accepts || suffix) {
@@ -467,6 +472,7 @@ class MultiDriver
 
     const MultiStreamer& ms_;
     const std::vector<MultiStreamer::Node>& trie_;
+    const NodeSet root_{0}; ///< the active set at a top-level value
     std::vector<std::string_view> scratch_keys_;
     intervals::StreamCursor cur_;
     Skipper skip_;
@@ -475,6 +481,36 @@ class MultiDriver
     path::QueryBits emit_bits_;
 };
 
+namespace {
+
+/**
+ * One pass of a fresh MultiDriver over @p input (a buffer, or a
+ * ChunkSource and its chunk size): one value, or with @p records every
+ * record of the stream.  A sink's StopStreaming ends the pass early
+ * with a valid partial result.
+ */
+template <class... Input>
+MultiStreamer::Result
+pass(const MultiStreamer& ms, MultiSink* sink, bool records,
+     Input&... input)
+{
+    MultiStreamer::Result result;
+    result.matches.assign(ms.queryCount(), 0);
+    result.per_query.assign(ms.queryCount(), FastForwardStats{});
+    MultiDriver driver(ms, input..., sink, result);
+    try {
+        if (records)
+            driver.runRecords();
+        else
+            driver.run();
+    } catch (const StopStreaming&) {
+    }
+    driver.finish();
+    return result;
+}
+
+} // namespace
+
 MultiStreamer::Result
 MultiStreamer::run(std::string_view json, MultiSink* sink) const
 {
@@ -482,33 +518,21 @@ MultiStreamer::run(std::string_view json, MultiSink* sink) const
         intervals::ViewSource source(json);
         return run(source, sink, chunk);
     }
-    Result result;
-    result.matches.assign(set_.size(), 0);
-    result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // Early termination requested by the sink; partial result.
-    }
-    driver.finish();
-    return result;
+    return pass(*this, sink, false, json);
 }
 
 MultiStreamer::Result
 MultiStreamer::run(intervals::ChunkSource& source, MultiSink* sink,
                    size_t chunk_bytes) const
 {
-    Result result;
-    result.matches.assign(set_.size(), 0);
-    result.per_query.assign(set_.size(), FastForwardStats{});
-    MultiDriver driver(*this, trie_, source, chunk_bytes, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
+    return pass(*this, sink, false, source, chunk_bytes);
+}
+
+MultiStreamer::Result
+MultiStreamer::runRecords(intervals::ChunkSource& source, MultiSink* sink,
+                          size_t chunk_bytes) const
+{
+    return pass(*this, sink, true, source, chunk_bytes);
 }
 
 } // namespace jsonski::ski

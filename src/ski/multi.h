@@ -103,8 +103,11 @@ class MultiStreamer
          */
         std::vector<FastForwardStats> per_query;
 
-        /** Bytes of the record ingested (== record size on success). */
+        /** Bytes ingested (see StreamResult::input_bytes). */
         size_t input_bytes = 0;
+
+        /** Records evaluated (records mode only). */
+        size_t records = 0;
 
         /** Chunked-ingestion accounting; zeros for whole-buffer runs. */
         intervals::StreamCursor::IngestStats ingest;
@@ -128,6 +131,12 @@ class MultiStreamer
      */
     Result run(intervals::ChunkSource& source, MultiSink* sink = nullptr,
                size_t chunk_bytes = kDefaultChunkBytes) const;
+
+    /** Records mode over a stream, one pass for the whole set (see
+     *  Streamer::runRecords). */
+    Result runRecords(intervals::ChunkSource& source,
+                      MultiSink* sink = nullptr,
+                      size_t chunk_bytes = kDefaultChunkBytes) const;
 
     /** The normalized set (distinct queries, id map, canonical key). */
     const path::QuerySet& querySet() const { return set_; }

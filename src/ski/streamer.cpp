@@ -12,6 +12,7 @@
 #include "path/filter.h"
 #include "path/parser.h"
 #include "ski/chunk_override.h"
+#include "ski/records.h"
 #include "ski/sinks.h"
 #include "util/error.h"
 
@@ -92,9 +93,24 @@ class Driver
     void
     run()
     {
-        char c = cur_.skipWhitespace();
-        if (c == '\0')
+        if (cur_.skipWhitespace() == '\0')
             throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
+        root();
+    }
+
+    /** Records mode: every top-level value of the stream in turn. */
+    void
+    runRecords()
+    {
+        forEachRecord(cur_, result_.records, [this] { root(); });
+    }
+
+  private:
+    /** Evaluate the query over the top-level value at the cursor. */
+    void
+    root()
+    {
+        char c = cur_.current();
         if (q_.empty()) {
             // `$` selects the whole record.
             emitValue();
@@ -122,7 +138,6 @@ class Driver
         flushDescendantMatches();
     }
 
-  private:
     /** ACCEPT: fast-forward over the value and report it (G3). */
     void
     emitValue()
@@ -700,9 +715,23 @@ class NfaDriver
     void
     run()
     {
-        char c = cur_.skipWhitespace();
-        if (c == '\0')
+        if (cur_.skipWhitespace() == '\0')
             throw ParseError(ErrorCode::UnexpectedEnd, "empty input", 0);
+        root();
+    }
+
+    /** Records mode: every top-level value of the stream in turn. */
+    void
+    runRecords()
+    {
+        forEachRecord(cur_, result_.records, [this] { root(); });
+    }
+
+  private:
+    /** Evaluate the query over the top-level value at the cursor. */
+    void
+    root()
+    {
         path::NfaSet start;
         start.add(0, 1);
         value(start);
@@ -710,7 +739,6 @@ class NfaDriver
         assert(pending_.empty() && "nfa slot left in flight");
     }
 
-  private:
     /**
      * Nested entry point for filter-candidate interiors: evaluate the
      * candidate (this driver's whole input) against state set
@@ -1079,70 +1107,38 @@ class NfaDriver
     int depth_ = 0;
 };
 
-} // namespace
-
+/**
+ * One pass of a fresh driver over @p input (a buffer, or a ChunkSource
+ * and its chunk size): NfaDriver for the nondeterministic query
+ * surface (DESIGN.md §13), the linear Driver for everything else, so
+ * plain queries keep its exact traversal, byte charges and emissions.
+ * @p go runs the driver; a sink's StopStreaming ends the pass early
+ * with a valid partial result.
+ */
+template <class Go, class... Input>
 StreamResult
-Streamer::run(std::string_view json, MatchSink* sink) const
-{
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return run(source, sink, chunk);
-    }
-    return runResident(json, sink);
-}
-
-StreamResult
-Streamer::runResident(std::string_view json, MatchSink* sink) const
+pass(const PathQuery& q, const StreamerOptions& options, MatchSink* sink,
+     Go go, Input&... input)
 {
     StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        // Nondeterministic surface: the multiset driver (DESIGN.md
-        // §13).  Everything else keeps the linear driver's exact
-        // traversal, byte charges, and emissions.
-        NfaDriver driver(query_, options_, json, sink, result);
+    auto drive = [&](auto& driver) {
         try {
-            driver.run();
+            go(driver);
         } catch (const StopStreaming&) {
         }
         driver.finish();
-        return result;
+    };
+    if (q.hasInteriorDescendant()) {
+        NfaDriver driver(q, options, input..., sink, result);
+        drive(driver);
+    } else {
+        Driver driver(q, options, input..., sink, result);
+        drive(driver);
     }
-    Driver driver(query_, options_, json, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-        // A sink requested early termination; the partial result
-        // (matches delivered so far) is valid.
-    }
-    driver.finish();
     return result;
 }
 
-StreamResult
-Streamer::run(intervals::ChunkSource& source, MatchSink* sink,
-              size_t chunk_bytes) const
-{
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
-}
-
-namespace {
+constexpr auto kOneValue = [](auto& driver) { driver.run(); };
 
 /**
  * Forwards matches to the caller's sink while counting what got
@@ -1172,6 +1168,38 @@ class ForwardingCountSink : public MatchSink
 } // namespace
 
 StreamResult
+Streamer::run(std::string_view json, MatchSink* sink) const
+{
+    if (size_t chunk = testChunkBytesOverride()) {
+        intervals::ViewSource source(json);
+        return run(source, sink, chunk);
+    }
+    return runResident(json, sink);
+}
+
+StreamResult
+Streamer::runResident(std::string_view json, MatchSink* sink) const
+{
+    return pass(query_, options_, sink, kOneValue, json);
+}
+
+StreamResult
+Streamer::run(intervals::ChunkSource& source, MatchSink* sink,
+              size_t chunk_bytes) const
+{
+    return pass(query_, options_, sink, kOneValue, source, chunk_bytes);
+}
+
+StreamResult
+Streamer::runRecords(intervals::ChunkSource& source, MatchSink* sink,
+                     size_t chunk_bytes) const
+{
+    return pass(
+        query_, options_, sink, [](auto& driver) { driver.runRecords(); },
+        source, chunk_bytes);
+}
+
+StreamResult
 Streamer::runIndexed(std::string_view json,
                      const index::StructuralIndex& idx,
                      MatchSink* sink) const
@@ -1185,25 +1213,13 @@ Streamer::runIndexed(std::string_view json,
     ForwardingCountSink counted(sink);
     MatchSink* inner = sink ? static_cast<MatchSink*>(&counted) : nullptr;
     try {
-        StreamResult result;
-        if (query_.hasInteriorDescendant()) {
-            NfaDriver driver(query_, options_, json, inner, result);
-            driver.bindIndex(&idx);
-            try {
+        return pass(
+            query_, options_, inner,
+            [&idx](auto& driver) {
+                driver.bindIndex(&idx);
                 driver.run();
-            } catch (const StopStreaming&) {
-            }
-            driver.finish();
-            return result;
-        }
-        Driver driver(query_, options_, json, inner, result);
-        driver.bindIndex(&idx);
-        try {
-            driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
+            },
+            json);
     } catch (const ParseError& e) {
         // A self-built index only contradicts the driver on
         // grammatically invalid (though structurally clean) documents,
@@ -1233,26 +1249,13 @@ Streamer::runIndexed(intervals::ChunkSource& source,
     // documents or a caller-contract-violating foreign index.
     if (!idx.usable() || idx.levels() == 0)
         return run(source, sink, chunk_bytes);
-    StreamResult result;
-    if (query_.hasInteriorDescendant()) {
-        NfaDriver driver(query_, options_, source, chunk_bytes, sink,
-                         result);
-        driver.bindIndex(&idx);
-        try {
+    return pass(
+        query_, options_, sink,
+        [&idx](auto& driver) {
+            driver.bindIndex(&idx);
             driver.run();
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-        return result;
-    }
-    Driver driver(query_, options_, source, chunk_bytes, sink, result);
-    driver.bindIndex(&idx);
-    try {
-        driver.run();
-    } catch (const StopStreaming&) {
-    }
-    driver.finish();
-    return result;
+        },
+        source, chunk_bytes);
 }
 
 QueryResult

@@ -38,8 +38,12 @@ struct StreamResult
     size_t matches = 0;
     FastForwardStats stats;
 
-    /** Bytes of the record ingested (== record size on success). */
+    /** Bytes ingested: the document's size on success, or in records
+     *  mode the whole stream's (the ratio denominator of stats.h). */
     size_t input_bytes = 0;
+
+    /** Records evaluated (records mode only). */
+    size_t records = 0;
 
     /** Chunked-ingestion accounting; zeros for whole-buffer runs. */
     intervals::StreamCursor::IngestStats ingest;
@@ -101,6 +105,18 @@ class Streamer
     StreamResult run(intervals::ChunkSource& source,
                      MatchSink* sink = nullptr,
                      size_t chunk_bytes = kDefaultChunkBytes) const;
+
+    /**
+     * Records mode (DESIGN.md §7 rule 2): evaluate the query over every
+     * top-level object or array of a stream (NDJSON or concatenated
+     * records) on one cursor, so one classification pass both delimits
+     * the records and answers the query.  Resident memory is bounded
+     * as for run() above; error positions are stream offsets and do
+     * not depend on @p chunk_bytes.
+     */
+    StreamResult runRecords(intervals::ChunkSource& source,
+                            MatchSink* sink = nullptr,
+                            size_t chunk_bytes = kDefaultChunkBytes) const;
 
     /**
      * Whole-buffer evaluation that is never rerouted by

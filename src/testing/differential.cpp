@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "baseline/dom/query.h"
 #include "gen/datasets.h"
@@ -14,11 +15,11 @@
 #include "path/matches.h"
 #include "path/parser.h"
 #include "path/queryset.h"
+#include "service/plan_cache.h"
 #include "ski/multi.h"
-#include "ski/record_reader.h"
-#include "ski/record_scanner.h"
 #include "ski/streamer.h"
 #include "testing/mutator.h"
+#include "testing/records.h"
 #include "testing/seam.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -205,6 +206,15 @@ runDifferentialFuzz(const FuzzConfig& config)
     queries.reserve(config.queries.size());
     for (const std::string& text : config.queries)
         queries.push_back(path::parse(text));
+    // The records leg rotates over every query alone and, for the
+    // multi-query engine, the first three as one list.
+    std::vector<std::shared_ptr<const service::Plan>> plans;
+    for (const std::string& text : config.queries)
+        plans.push_back(service::compilePlan(text));
+    if (config.queries.size() >= 3)
+        plans.push_back(service::compilePlan(
+            config.queries[0] + "," + config.queries[1] + "," +
+            config.queries[2]));
 
     StructuredMutator mutator(config.seed);
     // Decorrelated stream: the grammar mutator must not perturb the
@@ -646,67 +656,57 @@ runDifferentialFuzz(const FuzzConfig& config)
             }
         }
 
-        // The record scanner sees the same mutants: it must also obey
-        // the result-or-ParseError contract, and the incremental
-        // RecordReader (256-byte buffer, chunked source) must agree
-        // with it: the scanner's records — those before the scanner's
-        // error, if any; the reader may throw before delivering them
-        // all — then the same error at the same stream offset.
-        std::vector<std::pair<size_t, size_t>> spans;
-        std::string scan_error; // empty: the scanner accepted the mutant
-        try {
-            spans = ski::scanRecords(mutant);
-        } catch (const ParseError& e) {
-            scan_error = std::string(errorCodeName(e.code())) + "@" +
-                         std::to_string(e.position());
-            size_t tail = 0;
-            spans = ski::scanRecords(
-                std::string_view(mutant).substr(0, e.position()), &tail);
-            if (e.position() > mutant.size()) {
+        // Records leg: the mutant as a record stream through Plan::run
+        // (256-byte chunks) against the two-pass oracle.  The result
+        // must match exactly where the contract pins it — every record
+        // the oracle delimits is valid JSON, and the oracle fails, if
+        // at all, on a byte between records — and otherwise be a
+        // result or an in-range ParseError (DESIGN.md §7 rules 1-2).
+        {
+            const service::Plan& plan = *plans[iter % plans.size()];
+            std::string rctx = " plan=" + plan.key + " " + context;
+            RecordsRun oracle;
+            RecordsRun got;
+            try {
+                oracle = recordsOracle(plan, mutant);
+                got = runRecords(plan, mutant, 256);
+            } catch (const std::exception& e) {
                 ++report.escapes;
-                recordFailure(std::string("scanRecords position past the "
-                                          "input: ") +
-                              e.what() + " " + context);
+                recordFailure(std::string("records escape: ") + e.what() +
+                              rctx);
+                continue;
             }
-        } catch (const std::exception& e) {
-            ++report.escapes;
-            recordFailure(std::string("scanRecords escape: ") + e.what() +
-                          " " + context);
-            continue;
-        }
-        ++report.record_replays;
-        size_t chunk = 1 + iter % 97;
-        std::string reader_error;
-        size_t n = 0;
-        bool same = true;
-        try {
-            intervals::SplitSource src(mutant, chunk);
-            ski::RecordReader reader(src, 256);
-            std::string_view rec;
-            for (; reader.next(rec); ++n)
-                same = same && n < spans.size() &&
-                       reader.offset() == spans[n].first &&
-                       rec.size() == spans[n].second;
-        } catch (const ParseError& e) {
-            reader_error = std::string(errorCodeName(e.code())) + "@" +
-                           std::to_string(e.position());
-        } catch (const std::exception& e) {
-            ++report.escapes;
-            recordFailure(std::string("RecordReader escape: ") + e.what() +
-                          " " + context);
-            continue;
-        }
-        if (!same || reader_error != scan_error ||
-            (scan_error.empty() && n != spans.size())) {
-            ++report.divergences;
-            recordFailure("RecordReader vs scanRecords: " +
-                          std::to_string(n) + " records then " +
-                          (reader_error.empty() ? "end" : reader_error) +
-                          " vs " + std::to_string(spans.size()) +
-                          " then " +
-                          (scan_error.empty() ? "end" : scan_error) +
-                          " chunk=" + std::to_string(chunk) + " " +
-                          context);
+            ++report.records_runs;
+            bool exact = !oracle.threw ||
+                         oracle.code == ErrorCode::StrayByte ||
+                         oracle.code == ErrorCode::UnbalancedClose;
+            for (auto [start, len] : oracle.spans)
+                exact = exact && static_cast<bool>(json::validate(
+                                     std::string_view(mutant).substr(
+                                         start, len)));
+            auto outcome = [](const RecordsRun& r) {
+                return r.threw ? std::string(errorCodeName(r.code)) + "@" +
+                                     std::to_string(r.position)
+                               : std::string("ok");
+            };
+            if (got.threw && got.position > mutant.size()) {
+                ++report.escapes;
+                recordFailure("records position past the input: " +
+                              got.what + rctx);
+            } else if (exact &&
+                       (outcome(got) != outcome(oracle) ||
+                        got.values != oracle.values ||
+                        (!got.threw &&
+                         (got.result.matches != oracle.result.matches ||
+                          got.result.stats.skipped !=
+                              oracle.result.stats.skipped ||
+                          got.result.records != oracle.result.records)))) {
+                ++report.divergences;
+                recordFailure("records mode vs oracle: " + outcome(got) +
+                              " with " + std::to_string(got.values.size()) +
+                              " values vs " + outcome(oracle) + " with " +
+                              std::to_string(oracle.values.size()) + rctx);
+            }
         }
     }
     return report;

@@ -64,12 +64,14 @@
  * Alongside, one set salted with a nearMiss() query must either parse
  * entirely or be rejected atomically with PathError (set_rejects).
  *
- * Record-stream mode: every mutant is also split into top-level
- * records twice — by scanRecords over the whole buffer and by the
- * incremental RecordReader (256-byte buffer, adversarially chunked
- * source).  The reader must deliver the scanner's records at the same
- * stream offsets and then fail exactly where the scanner does: same
- * ErrorCode, same absolute position.
+ * Records mode: every mutant also runs as a record stream through
+ * Plan::run (256-byte chunks, one query or a three-query list in
+ * rotation) against the two-pass oracle of testing/records.h.  When
+ * every record the oracle delimits passes json::validate() and the
+ * oracle fails, if at all, with StrayByte or UnbalancedClose, the run
+ * must match it exactly: values, ErrorCode and position, and on
+ * success the per-query counts, FastForwardStats and record count.
+ * Otherwise it keeps the result-or-in-range-ParseError contract.
  */
 #ifndef JSONSKI_TESTING_DIFFERENTIAL_H
 #define JSONSKI_TESTING_DIFFERENTIAL_H
@@ -112,7 +114,7 @@ struct FuzzReport
     size_t set_runs = 0;    ///< batched-vs-sequential query-set replays
     size_t set_rejects = 0; ///< near-miss-salted sets rejected atomically
     size_t index_replays = 0;  ///< warm (semi-indexed) replays vs streaming
-    size_t record_replays = 0; ///< RecordReader replays vs scanRecords
+    size_t records_runs = 0;   ///< records-mode runs vs the oracle
 
     /** Reproducible descriptions of every recorded failure. */
     std::vector<std::string> failures;

@@ -1,4 +1,4 @@
-#include "ski/record_scanner.h"
+#include "testing/record_scanner.h"
 
 #include <algorithm>
 
@@ -7,7 +7,7 @@
 #include "util/bits.h"
 #include "util/error.h"
 
-namespace jsonski::ski {
+namespace jsonski::testing {
 
 using intervals::kBlockSize;
 
@@ -102,4 +102,4 @@ scanRecords(std::string_view stream, size_t* tail_start)
     return spans;
 }
 
-} // namespace jsonski::ski
+} // namespace jsonski::testing

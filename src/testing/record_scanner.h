@@ -1,27 +1,31 @@
 /**
  * @file
- * Bit-parallel record scanner for the small-records scenario.
+ * Bit-parallel record scanner: the test oracle for records mode.
  *
  * A JSON data stream often arrives as a sequence of records
  * (concatenated or newline-delimited) *without* an offset table.  The
- * scanner recovers the record spans with the same block classification
- * the fast-forward layer uses: inside a record, whole blocks are
- * crossed with two popcounts (depth can provably not reach zero);
- * only blocks where the depth gets close to zero are examined bit by
- * bit.  No tokenization, no per-character state machine.
+ * scanner recovers the record spans in a pass of its own, with the
+ * same block classification the fast-forward layer uses: inside a
+ * record, whole blocks are crossed with two popcounts (depth can
+ * provably not reach zero); only blocks where the depth gets close to
+ * zero are examined bit by bit.  Its bracket pairing ignores bracket
+ * types, so it is independent of the engines' type-aware pairing.
  *
- * Root-level records must be objects or arrays (the unambiguous case;
- * bare scalars at the top level are rejected).
+ * Records mode itself (ski/records.h) delimits records on the engine's
+ * own cursor; the tests run it against this scanner followed by the
+ * engine on each record.  Root-level records must be objects or
+ * arrays (the unambiguous case; bare scalars at the top level are
+ * rejected).
  */
-#ifndef JSONSKI_SKI_RECORD_SCANNER_H
-#define JSONSKI_SKI_RECORD_SCANNER_H
+#ifndef JSONSKI_TESTING_RECORD_SCANNER_H
+#define JSONSKI_TESTING_RECORD_SCANNER_H
 
 #include <cstddef>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-namespace jsonski::ski {
+namespace jsonski::testing {
 
 /**
  * Scan @p stream and return the (offset, length) span of every
@@ -41,6 +45,6 @@ namespace jsonski::ski {
 std::vector<std::pair<size_t, size_t>>
 scanRecords(std::string_view stream, size_t* tail_start = nullptr);
 
-} // namespace jsonski::ski
+} // namespace jsonski::testing
 
-#endif // JSONSKI_SKI_RECORD_SCANNER_H
+#endif // JSONSKI_TESTING_RECORD_SCANNER_H

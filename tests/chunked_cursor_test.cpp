@@ -4,7 +4,7 @@
  * chunked StreamCursor (refills, discard floor, prepareTail on a
  * multi-chunk stream), the bounded-memory acceptance criterion
  * (window peak <= 2x chunk size, backed by the heap hooks), and
- * RecordReader over a ChunkSource.
+ * records mode over a ChunkSource, with the same residency bound.
  */
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include "intervals/cursor.h"
 #include "path/matches.h"
 #include "path/parser.h"
-#include "ski/record_reader.h"
+#include "service/plan_cache.h"
 #include "ski/streamer.h"
 #include "util/mem_stats.h"
 
@@ -31,7 +31,6 @@ using jsonski::intervals::SplitSource;
 using jsonski::intervals::StreamCursor;
 using jsonski::intervals::ViewSource;
 using jsonski::path::CollectSink;
-using jsonski::ski::RecordReader;
 using jsonski::ski::Streamer;
 using jsonski::ski::StreamResult;
 
@@ -308,8 +307,21 @@ TEST(ChunkedCursorTest, HeapPeakStaysFarBelowDocumentSize)
 }
 
 // ---------------------------------------------------------------------
-// RecordReader over a ChunkSource
+// Records mode over a ChunkSource
 // ---------------------------------------------------------------------
+
+/** Collects what `$` returns: each record whole. */
+class RecordSink : public jsonski::ski::MultiSink
+{
+  public:
+    void
+    onMatch(size_t, std::string_view value) override
+    {
+        records.emplace_back(value);
+    }
+
+    std::vector<std::string> records;
+};
 
 TEST(ChunkedCursorTest, RecordReaderOverSplitSource)
 {
@@ -317,16 +329,50 @@ TEST(ChunkedCursorTest, RecordReaderOverSplitSource)
         jsonski::gen::generateSmall(jsonski::gen::DatasetId::BB, 1 << 16);
     ASSERT_GT(small.count(), 1u);
     SplitSource src(small.buffer, std::vector<size_t>{997, 3});
-    RecordReader reader(src, /*buffer_size=*/4096);
-    std::string_view record;
-    size_t i = 0;
-    while (reader.next(record)) {
-        ASSERT_LT(i, small.count());
-        EXPECT_EQ(record, small.record(i)) << "record " << i;
-        ++i;
+    RecordSink sink;
+    jsonski::service::RunResult r =
+        jsonski::service::compilePlan("$")->run(src, sink, 4096, true);
+    ASSERT_EQ(sink.records.size(), small.count());
+    for (size_t i = 0; i < small.count(); ++i)
+        EXPECT_EQ(sink.records[i], small.record(i)) << "record " << i;
+    EXPECT_EQ(r.records, small.count());
+    EXPECT_EQ(r.input_bytes, small.buffer.size());
+}
+
+/** Counts matches without keeping them. */
+class CountingSink : public jsonski::ski::MultiSink
+{
+  public:
+    void onMatch(size_t, std::string_view) override { ++count; }
+
+    size_t count = 0;
+};
+
+TEST(ChunkedCursorTest, RecordsModeResidencyStaysNearOneChunk)
+{
+    // A record stream is read on one cursor, so residency is the
+    // document-mode bound: one block-rounded chunk plus slack, and a
+    // heap high-water of a few chunks, never a buffer of records.
+    constexpr size_t kChunk = 4096;
+    jsonski::gen::SmallRecords small =
+        jsonski::gen::generateSmall(jsonski::gen::DatasetId::TT, 1 << 20);
+    auto plan = jsonski::service::compilePlan("$.en.urls[*].url");
+    CountingSink sink;
+    {
+        ViewSource warm(small.buffer, kChunk);
+        plan->run(warm, sink, kChunk, true);
     }
-    EXPECT_EQ(i, small.count());
-    EXPECT_EQ(reader.recordsRead(), small.count());
+    size_t base = jsonski::mem::current();
+    jsonski::mem::resetPeak();
+    ViewSource src(small.buffer, kChunk);
+    jsonski::service::RunResult r = plan->run(src, sink, kChunk, true);
+    size_t high_water = jsonski::mem::peak() - base;
+    EXPECT_EQ(r.records, small.count());
+    EXPECT_EQ(r.input_bytes, small.buffer.size());
+    EXPECT_LE(r.ingest.window_peak, 2 * kChunk);
+    EXPECT_LE(high_water, size_t{16} * 1024)
+        << "heap high-water " << high_water << " bytes over a "
+        << small.buffer.size() << "-byte record stream";
 }
 
 } // namespace

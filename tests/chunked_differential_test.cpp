@@ -56,6 +56,27 @@ TEST(ChunkedDifferential, MalformedDocumentsKeepErrorPositions)
     EXPECT_TRUE(report.ok());
 }
 
+TEST(ChunkedDifferential, NulBytesAreWhitespaceInEveryMode)
+{
+    // A NUL byte is whitespace to the cursor wherever it lands — on
+    // the fast path or inside a whitespace bitmap — so no chunking can
+    // turn it into a premature end of input.
+    std::vector<std::string> docs = {
+        std::string("\0{\"a\":1}", 8),
+        std::string("{\"a\":\0 1}", 9),
+        std::string("{\"a\":1}\0{\"a\":2}", 15),
+        std::string(70, '\0') + "[1, {\"a\": \"\0\"}]",
+    };
+    SeamReport report =
+        runSeamDifferential(docs, defaultQueries(), kChunkSizes);
+    for (const std::string& f : report.failures)
+        ADD_FAILURE() << f;
+    EXPECT_TRUE(report.ok());
+    SeamRun whole = runStreamerWhole(docs[1], jsonski::path::parse("$.a"));
+    EXPECT_FALSE(whole.threw_parse_error) << whole.error_what;
+    EXPECT_EQ(whole.values, (std::vector<std::string>{"1"}));
+}
+
 TEST(ChunkedDifferential, AdversarialSchedulesMatchWholeBuffer)
 {
     // Mixed schedules, including pathological 1-byte dribbles between

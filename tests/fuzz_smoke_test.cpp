@@ -158,8 +158,8 @@ TEST(FuzzSmoke, TenThousandMutantsNoDivergenceNoEscape)
     // share of the mutants (only ones whose streaming run escaped are
     // skipped).
     EXPECT_GE(report.index_replays, report.executed / 2);
-    // The record-stream leg must have split every mutant both ways.
-    EXPECT_EQ(report.record_replays, report.executed);
+    // The records leg must have run every mutant as a record stream.
+    EXPECT_EQ(report.records_runs, report.executed);
     // The query-set leg must have run one batched-vs-sequential pass
     // per mutant, and the near-miss-salted sets must have been
     // rejected atomically a healthy share of the time.

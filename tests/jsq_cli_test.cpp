@@ -24,8 +24,8 @@
 #include "service/protocol.h"
 #include "ski/explain.h"
 #include "ski/multi.h"
-#include "ski/record_scanner.h"
 #include "ski/streamer.h"
+#include "testing/record_scanner.h"
 #include "util/error.h"
 
 using namespace jsonski;
@@ -151,7 +151,7 @@ expect(const std::string& list, const std::string& text, bool records)
     try {
         std::vector<std::pair<size_t, size_t>> spans = {{0, text.size()}};
         if (records)
-            spans = ski::scanRecords(text);
+            spans = jsonski::testing::scanRecords(text);
         for (auto [start, len] : spans) {
             off = start;
             std::string_view piece(text.data() + start, len);
@@ -289,6 +289,28 @@ TEST(JsqCli, MalformedRecordStreamsFailAtStreamOffsets)
     engine_bad[engine_bad.find(':', engine_bad.find("{\"a\": [20"))] = ' ';
     for (const std::string& bad : {stray, text + "{\"a\": [1, ", engine_bad})
         checkMalformed(bad, kRecordLists, true);
+}
+
+TEST(JsqCli, RecordErrorsDoNotDependOnTheChunkSize)
+{
+    // 360 bytes: a record the engine rejects at byte 5, valid records,
+    // and a stray byte at 358.  The first error in the stream wins
+    // whatever the chunk size, the default included.
+    std::string text = "{\"a\" 1}\n";
+    for (int i = 0; text.size() < 340; ++i)
+        text += "{\"a\": " + std::to_string(i) + "}\n";
+    text.resize(358, ' ');
+    text += "x\n";
+    ASSERT_EQ(text.size(), 360u);
+    std::string path = tempPath("early_bad.json");
+    std::ofstream(path, std::ios::binary) << text;
+    for (const Args& mode : {Args{"--chunk-bytes", "256"},
+                             Args{"--chunk-bytes", "4096"}, Args{}}) {
+        JsqRun r = runMode(mode, {"-r", "-c"}, "$.a", path);
+        EXPECT_EQ(r.code, 1);
+        EXPECT_NE(r.err.find("expected ':' (at byte 5)"), std::string::npos)
+            << (mode.empty() ? "default" : mode[1]) << ": " << r.err;
+    }
 }
 
 TEST(JsqCli, SidecarFlagsAreGone)

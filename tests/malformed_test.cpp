@@ -8,15 +8,15 @@
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "intervals/cursor.h"
 #include "path/parser.h"
-#include "ski/record_reader.h"
-#include "ski/record_scanner.h"
+#include "service/plan_cache.h"
 #include "ski/skipper.h"
 #include "ski/streamer.h"
+#include "testing/record_scanner.h"
+#include "testing/records.h"
 #include "util/error.h"
 
 using namespace jsonski;
@@ -196,28 +196,30 @@ TEST(MalformedStreamer, UnterminatedStringInAttributeName)
 
 TEST(MalformedScanner, StrayAndUnbalancedBytes)
 {
-    ParseError stray =
-        expectParseError([] { ski::scanRecords("{} junk {}"); });
+    using jsonski::testing::scanRecords;
+    ParseError stray = expectParseError([] { scanRecords("{} junk {}"); });
     EXPECT_EQ(stray.code(), ErrorCode::StrayByte);
     EXPECT_EQ(stray.position(), 3u);
 
-    ParseError unbalanced =
-        expectParseError([] { ski::scanRecords("]{}"); });
+    ParseError unbalanced = expectParseError([] { scanRecords("]{}"); });
     EXPECT_EQ(unbalanced.code(), ErrorCode::UnbalancedClose);
     EXPECT_EQ(unbalanced.position(), 0u);
 
-    ParseError tail = expectParseError([] { ski::scanRecords("{} [1,"); });
+    ParseError tail = expectParseError([] { scanRecords("{} [1,"); });
     EXPECT_EQ(tail.code(), ErrorCode::UnterminatedRecord);
 }
 
 TEST(MalformedReader, TruncatedTrailingRecord)
 {
-    std::istringstream in("{\"ok\":1}\n{\"cut\":");
-    ski::RecordReader reader(in, 64);
-    std::string_view rec;
-    ASSERT_TRUE(reader.next(rec));
-    ParseError e = expectParseError([&] { reader.next(rec); });
-    EXPECT_EQ(e.code(), ErrorCode::UnterminatedRecord);
+    // Records mode delivers the complete record, then fails at the
+    // truncated one's opening byte.
+    jsonski::testing::RecordsRun r = jsonski::testing::runRecords(
+        *service::compilePlan("$.ok"), "{\"ok\":1}\n{\"cut\":", 64);
+    ASSERT_EQ(r.values.size(), 1u);
+    EXPECT_EQ(r.values[0].second, "1");
+    ASSERT_TRUE(r.threw);
+    EXPECT_EQ(r.code, ErrorCode::UnterminatedRecord);
+    EXPECT_EQ(r.position, 9u);
 }
 
 TEST(MalformedContract, PositionsNeverPassTheInput)

@@ -257,6 +257,11 @@ TEST(QuerySetDifferential, MalformedDocsAgreeOnErrorDetail)
         // through that query's object-exit fast-forward instead, a
         // different detection path with a different error code).
         {R"({"user": {"id)", {"$.user.id", "$.user.name"}},
+        // Truncated where an array element must start: every query
+        // wants the element, so every pass runs off the end there.
+        {R"([1,)", {"$[*]", "$[1:9]"}},
+        {R"({"a":[1,)", {"$.a[*]", "$.a[1:9]"}},
+        {R"({"a": [{"b": 1}, )", {"$.a[*]", "$.a[1:9]"}},
     };
     for (const Bad& b : bads)
         for (size_t chunk : kChunks)

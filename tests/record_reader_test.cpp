@@ -1,30 +1,43 @@
-/** @file Tests for the incremental buffered record reader. */
-#include "ski/record_reader.h"
-
+/**
+ * @file
+ * Reading a record stream through a small buffer: records mode of
+ * service::Plan::run, one cursor over the whole stream with `$`
+ * returning each record whole.  Refills, records larger than a chunk,
+ * strings and escapes across refills, counts, and malformed streams
+ * failing at the scanner's stream offset at every chunk size.
+ */
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/datasets.h"
-#include "path/parser.h"
-#include "ski/record_scanner.h"
-#include "ski/streamer.h"
+#include "service/plan_cache.h"
+#include "testing/record_scanner.h"
+#include "testing/records.h"
 #include "util/error.h"
 
+using jsonski::ErrorCode;
 using jsonski::ParseError;
-using jsonski::ski::RecordReader;
+using jsonski::service::compilePlan;
+using jsonski::testing::RecordsRun;
+using jsonski::testing::runRecords;
 
 namespace {
 
-std::vector<std::string>
-readAll(const std::string& text, size_t buffer)
+/** Every record of @p text as `$` returns it, read in @p chunk bytes. */
+RecordsRun
+readAll(const std::string& text, size_t chunk)
 {
-    std::istringstream in(text);
-    RecordReader reader(in, buffer);
+    return runRecords(*compilePlan("$"), text, chunk);
+}
+
+std::vector<std::string>
+valuesOf(const RecordsRun& run)
+{
     std::vector<std::string> out;
-    std::string_view rec;
-    while (reader.next(rec))
-        out.push_back(std::string(rec));
+    for (const auto& [qi, value] : run.values)
+        out.push_back(value);
     return out;
 }
 
@@ -32,15 +45,20 @@ readAll(const std::string& text, size_t buffer)
 
 TEST(RecordReader, BasicNdjson)
 {
-    auto recs = readAll("{\"a\":1}\n{\"b\":2}\n[3]\n", 1 << 16);
-    EXPECT_EQ(recs, (std::vector<std::string>{"{\"a\":1}", "{\"b\":2}",
-                                              "[3]"}));
+    RecordsRun r = readAll("{\"a\":1}\n{\"b\":2}\n[3]\n", 1 << 16);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(valuesOf(r), (std::vector<std::string>{"{\"a\":1}",
+                                                     "{\"b\":2}", "[3]"}));
 }
 
 TEST(RecordReader, EmptyStream)
 {
-    EXPECT_TRUE(readAll("", 1024).empty());
-    EXPECT_TRUE(readAll("  \n \t ", 1024).empty());
+    for (const char* text : {"", "  \n \t "}) {
+        RecordsRun r = readAll(text, 1024);
+        ASSERT_FALSE(r.threw) << r.what;
+        EXPECT_TRUE(r.values.empty());
+        EXPECT_EQ(r.result.records, 0u);
+    }
 }
 
 TEST(RecordReader, TinyBufferForcesRefills)
@@ -53,86 +71,68 @@ TEST(RecordReader, TinyBufferForcesRefills)
         expected.push_back(rec);
         text += rec + "\n";
     }
-    // Buffer fits only a handful of records at a time.
-    auto recs = readAll(text, 300);
-    EXPECT_EQ(recs, expected);
+    // A chunk fits only a handful of records at a time.
+    RecordsRun r = readAll(text, 300);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(valuesOf(r), expected);
+    EXPECT_GT(r.result.ingest.refills, 10u);
 }
 
 TEST(RecordReader, RecordLargerThanBufferGrows)
 {
     std::string big = "{\"payload\":\"" + std::string(5000, 'x') + "\"}";
-    std::string text = big + "\n{\"k\":1}";
-    std::istringstream in(text);
-    RecordReader reader(in, 256);
-    std::string_view rec;
-    ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec, big);
-    ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec, "{\"k\":1}");
-    EXPECT_FALSE(reader.next(rec));
-    EXPECT_GT(reader.bufferSize(), 256u);
+    RecordsRun r = readAll(big + "\n{\"k\":1}", 256);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(valuesOf(r), (std::vector<std::string>{big, "{\"k\":1}"}));
+    // The window grows to hold the emitted record, and only then.
+    EXPECT_GT(r.result.ingest.window_peak, big.size());
 }
 
 TEST(RecordReader, CountsAndBytes)
 {
-    std::istringstream in("{} [1] {}");
-    RecordReader reader(in, 64);
-    std::string_view rec;
-    size_t n = 0;
-    while (reader.next(rec))
-        ++n;
-    EXPECT_EQ(n, 3u);
-    EXPECT_EQ(reader.recordsRead(), 3u);
-    EXPECT_EQ(reader.bytesRead(), 2u + 3u + 2u);
+    RecordsRun r = readAll("{} [1] {}", 64);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(r.values.size(), 3u);
+    EXPECT_EQ(r.result.records, 3u);
+    // The ratio denominator is the whole stream, separators included.
+    EXPECT_EQ(r.result.input_bytes, 9u);
 }
 
 TEST(RecordReader, UnterminatedTrailingRecordThrows)
 {
-    std::istringstream in("{\"a\":1}\n{\"b\":");
-    RecordReader reader(in, 64);
-    std::string_view rec;
-    ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec, "{\"a\":1}");
-    EXPECT_THROW(reader.next(rec), ParseError);
+    RecordsRun r = readAll("{\"a\":1}\n{\"b\":", 64);
+    EXPECT_EQ(valuesOf(r), (std::vector<std::string>{"{\"a\":1}"}));
+    ASSERT_TRUE(r.threw);
+    EXPECT_EQ(r.code, ErrorCode::UnterminatedRecord);
+    EXPECT_EQ(r.position, 8u); // the record's opening byte
 }
 
 TEST(RecordReader, StrayBytesThrow)
 {
-    // The scan is eager, so the error may surface on any next() call;
-    // draining the stream must throw.
-    std::istringstream in("{} oops {}");
-    RecordReader reader(in, 64);
-    EXPECT_THROW(
-        {
-            std::string_view rec;
-            while (reader.next(rec)) {
-            }
-        },
-        ParseError);
+    RecordsRun r = readAll("{} oops {}", 64);
+    ASSERT_TRUE(r.threw);
+    EXPECT_EQ(r.code, ErrorCode::StrayByte);
+    EXPECT_EQ(r.position, 3u);
+    EXPECT_EQ(valuesOf(r), (std::vector<std::string>{"{}"}));
 }
 
 TEST(RecordReader, StringsStraddlingRefills)
 {
-    // A record whose long string crosses several buffer refills, with
+    // A record whose long string crosses several refills, with
     // metacharacters inside.
     std::string big = "{\"s\":\"" + std::string(700, ',') + "}{" +
                       std::string(700, ']') + "\"}";
-    std::string text = big + "\n[7]";
-    std::istringstream in(text);
-    RecordReader reader(in, 256);
-    std::string_view rec;
-    ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec, big);
-    ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec, "[7]");
+    RecordsRun r = readAll(big + "\n[7]", 256);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(valuesOf(r), (std::vector<std::string>{big, "[7]"}));
 }
 
 TEST(RecordReader, EscapeHeavyRecordsAcrossBufferGrowth)
 {
-    // Regression: record views must stay intact when the buffer grows
-    // mid-stream while \uXXXX and \\ escapes straddle refill points.
-    // Build records whose escape sequences land at every offset around
-    // the 256-byte refill boundary.
+    // Record views must stay intact when the window grows mid-stream
+    // while \uXXXX and \\ escapes straddle refill points.  Build
+    // records whose escape sequences land at every offset around the
+    // 256-byte refill boundary.
     std::vector<std::string> records;
     for (size_t pad = 240; pad <= 260; ++pad) {
         std::string rec = "{\"k\":\"" + std::string(pad, 'a');
@@ -140,44 +140,36 @@ TEST(RecordReader, EscapeHeavyRecordsAcrossBufferGrowth)
         rec += "tail\", \"n\": " + std::to_string(pad) + "}";
         records.push_back(rec);
     }
-    // One oversized record in the middle forces buffer growth; the
+    // One oversized record in the middle forces window growth; the
     // records after it must still come back byte-identical.  The run
     // length is even so the closing quote stays a real quote.
     std::string big = "{\"big\":\"" + std::string(3000, '\\') + "\"}";
     records.insert(records.begin() + records.size() / 2, big);
 
     std::string text;
-    for (const std::string& r : records)
-        text += r + "\n";
-    auto out = readAll(text, 256);
-    ASSERT_EQ(out.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(out[i], records[i]) << "record " << i;
+    for (const std::string& rec : records)
+        text += rec + "\n";
+    RecordsRun r = readAll(text, 256);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(valuesOf(r), records);
 }
 
 TEST(RecordReader, EndToEndQueryOverGeneratedFeed)
 {
     auto data = jsonski::gen::generateSmall(jsonski::gen::DatasetId::WM,
                                             128 * 1024);
-    std::istringstream in(data.buffer);
-    RecordReader reader(in, 4096);
-    jsonski::ski::Streamer streamer(jsonski::path::parse("$.nm"));
-    std::string_view rec;
-    size_t matches = 0, records = 0;
-    while (reader.next(rec)) {
-        matches += streamer.run(rec).matches;
-        ++records;
-    }
-    EXPECT_EQ(records, data.count());
-    EXPECT_EQ(matches, data.count());
+    RecordsRun r = runRecords(*compilePlan("$.nm"), data.buffer, 4096);
+    ASSERT_FALSE(r.threw) << r.what;
+    EXPECT_EQ(r.result.records, data.count());
+    EXPECT_EQ(r.result.total(), data.count());
 }
 
 TEST(RecordReader, MalformedStreamsFailWhereTheScannerDoes)
 {
-    // NDJSON damaged well past the first window: at every buffer size
-    // the reader must report the scanner's ErrorCode at the scanner's
+    // NDJSON damaged well past the first window: at every chunk size
+    // the run must report the scanner's ErrorCode at the scanner's
     // stream offset (the offending byte, or an unterminated record's
-    // opening byte), after delivering only records the scanner also
+    // opening byte), after delivering exactly the records the scanner
     // found before that offset.
     std::string lines;
     for (int i = 0; i < 12000; ++i)
@@ -195,33 +187,26 @@ TEST(RecordReader, MalformedStreamsFailWhereTheScannerDoes)
         {scalar, 90000},
     };
     for (const auto& [text, pos] : cases) {
-        jsonski::ErrorCode code = jsonski::ErrorCode::Unspecified;
+        ErrorCode code = ErrorCode::Unspecified;
         try {
-            jsonski::ski::scanRecords(text);
+            jsonski::testing::scanRecords(text);
             FAIL() << "scanner accepted damage at " << pos;
         } catch (const ParseError& e) {
             ASSERT_EQ(e.position(), pos);
             code = e.code();
         }
         size_t tail = 0;
-        auto before = jsonski::ski::scanRecords(
+        auto before = jsonski::testing::scanRecords(
             std::string_view(text).substr(0, pos), &tail);
-        for (size_t buffer : {size_t{256}, size_t{4096}, size_t{1} << 20}) {
-            std::istringstream in(text);
-            RecordReader reader(in, buffer);
-            std::string_view rec;
-            size_t n = 0;
-            try {
-                for (; reader.next(rec); ++n) {
-                    ASSERT_LT(n, before.size()) << "buffer " << buffer;
-                    EXPECT_EQ(reader.offset(), before[n].first);
-                    EXPECT_EQ(rec.size(), before[n].second);
-                }
-                ADD_FAILURE() << "reader accepted damage at " << pos;
-            } catch (const ParseError& e) {
-                EXPECT_EQ(e.code(), code) << "buffer " << buffer;
-                EXPECT_EQ(e.position(), pos) << "buffer " << buffer;
-            }
+        std::vector<std::string> want;
+        for (auto [off, len] : before)
+            want.push_back(text.substr(off, len));
+        for (size_t chunk : {size_t{256}, size_t{4096}, size_t{1} << 20}) {
+            RecordsRun r = readAll(text, chunk);
+            ASSERT_TRUE(r.threw) << "accepted damage at " << pos;
+            EXPECT_EQ(r.code, code) << "chunk " << chunk;
+            EXPECT_EQ(r.position, pos) << "chunk " << chunk;
+            EXPECT_EQ(valuesOf(r), want) << "chunk " << chunk;
         }
     }
 }

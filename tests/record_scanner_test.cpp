@@ -1,5 +1,6 @@
-/** @file Tests for the bit-parallel record scanner. */
-#include "ski/record_scanner.h"
+/** @file Tests for the bit-parallel record scanner (records mode's
+ *  test oracle). */
+#include "testing/record_scanner.h"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@
 #include "util/error.h"
 
 using jsonski::ParseError;
-using jsonski::ski::scanRecords;
+using jsonski::testing::scanRecords;
 
 TEST(RecordScanner, SingleRecord)
 {

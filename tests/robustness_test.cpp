@@ -17,7 +17,7 @@
 #include "baseline/tape/query.h"
 #include "json/validate.h"
 #include "path/parser.h"
-#include "ski/record_scanner.h"
+#include "intervals/chunk_source.h"
 #include "ski/streamer.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -43,7 +43,10 @@ mustNotCrash(const std::string& json, const path::PathQuery& q)
     tryRun([&] { return dom::parseAndQuery(json, q); });
     tryRun([&] { return tape::parseAndQuery(json, q); });
     tryRun([&] { return pison::parseAndQuery(json, q); });
-    tryRun([&] { return ski::scanRecords(json).size(); });
+    tryRun([&] {
+        intervals::ViewSource src(json);
+        return ski::Streamer(q).runRecords(src).matches;
+    });
 }
 
 } // namespace

@@ -718,6 +718,13 @@ TEST(Service, RecordsModeErrorsAreStreamOffsets)
     engine_bad.replace(bad_at, bad_record.size(), bad_record);
     std::string stray = lines;
     stray[80000] = 'x';
+    // A record the engine rejects at byte 5 ahead of a stray byte at
+    // 358: the first error in the stream wins at every chunking.
+    std::string early_bad = bad_record + "\n";
+    while (early_bad.size() < 340)
+        early_bad += "{\"a\":1}\n";
+    early_bad.resize(358, ' ');
+    early_bad += "x\n";
 
     Server server;
     server.start();
@@ -744,6 +751,7 @@ TEST(Service, RecordsModeErrorsAreStreamOffsets)
                 {lines + "{\"a\":", ErrorCode::UnterminatedRecord,
                  lines.size()},
                 {engine_bad, record_code, bad_at + in_record},
+                {early_bad, ErrorCode::ExpectedPunctuation, 5},
             };
         RequestHeader h;
         h.queries = queries;
