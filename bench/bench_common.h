@@ -13,7 +13,6 @@
 #include "harness/engines.h"
 #include "harness/report.h"
 #include "kernels/kernel.h"
-#include "telemetry/telemetry.h"
 
 namespace jsonski::bench {
 
@@ -32,23 +31,16 @@ banner(const char* artifact, const char* description, size_t bytes)
 }
 
 /**
- * Attach fast-forward + telemetry detail for one JSONSki evaluation to
- * the report's current row (one extra untimed run with a telemetry
- * scope installed; in telemetry-off builds the registry stays zero and
- * only the ff stats carry data).
+ * Attach the fast-forward split of one JSONSki evaluation to the
+ * report's current row (one extra untimed run).
  */
 inline void
 addJsonSkiDetail(harness::BenchReport& report, std::string_view json,
                  const path::PathQuery& query)
 {
-    telemetry::Registry reg;
     ski::FastForwardStats stats;
-    {
-        telemetry::Scope scope(reg);
-        harness::runJsonSkiWithStats(json, query, stats);
-    }
+    harness::runJsonSkiWithStats(json, query, stats);
     report.ffStats(stats, json.size());
-    report.telemetry(reg);
 }
 
 } // namespace jsonski::bench

@@ -66,11 +66,9 @@ main()
     }
     report.write();
     std::printf(
-        "\nvs paper: identical, except this reproduction adds an\n"
-        "element-parallel JSONSki mode (the paper's future work; see\n"
-        "bench_ext_parallel) and substitutes two-phase chunking for\n"
-        "JPStream/Pison speculation (DESIGN.md #3).  SIMD kernel\n"
-        "active at runtime: %s.\n",
+        "\nvs paper: identical, except this reproduction substitutes\n"
+        "two-phase chunking for JPStream/Pison speculation\n"
+        "(DESIGN.md #3).  SIMD kernel active at runtime: %s.\n",
         std::string(kernels::activeName()).c_str());
     return 0;
 }

@@ -13,14 +13,6 @@
  *                              cursor
  *   jsq -s <query> [file]      print the fast-forward statistics
  *   jsq -e <query>             print the evaluation plan and exit
- *   jsq -p <query> [file]      profile: suppress matches, print a JSON
- *                              report (matches, fast-forward bytes and
- *                              ratios per group, telemetry counters) on
- *                              stdout and the plan plus a human-readable
- *                              telemetry report on stderr.  --profile is
- *                              a synonym.  In default builds
- *                              (JSONSKI_TELEMETRY=OFF) the telemetry
- *                              section is present but zeroed.
  *   --chunk-bytes N            read the input in N-byte chunks (default
  *                              64 KiB, in every mode)
  *
@@ -45,15 +37,11 @@
 #include <vector>
 
 #include "intervals/chunk_source.h"
-#include "json/writer.h"
-#include "kernels/kernel.h"
 #include "path/parser.h"
 #include "service/plan_cache.h"
 #include "service/protocol.h"
 #include "ski/explain.h"
 #include "ski/sinks.h"
-#include "telemetry/export.h"
-#include "telemetry/telemetry.h"
 #include "util/parse.h"
 
 using namespace jsonski;
@@ -66,7 +54,6 @@ struct Options
     bool records = false;
     bool stats = false;
     bool explain_only = false;
-    bool profile = false;
     size_t limit = 0; // 0 = unlimited
     size_t chunk_bytes = ski::Streamer::kDefaultChunkBytes;
     std::vector<std::string> queries;
@@ -77,7 +64,7 @@ struct Options
 usage()
 {
     std::fprintf(stderr,
-                 "usage: jsq [-c] [-r] [-s] [-e] [-p] [-n K] "
+                 "usage: jsq [-c] [-r] [-s] [-e] [-n K] "
                  "[--chunk-bytes N]\n"
                  "           <query>[,<query>...] [file]\n"
                  "  -r: the input is a stream of records (NDJSON); "
@@ -99,9 +86,6 @@ parseArgs(int argc, char** argv)
             opt.stats = true;
         } else if (std::strcmp(argv[i], "-e") == 0) {
             opt.explain_only = true;
-        } else if (std::strcmp(argv[i], "-p") == 0 ||
-                   std::strcmp(argv[i], "--profile") == 0) {
-            opt.profile = true;
         } else if (std::strcmp(argv[i], "-n") == 0 && i + 1 < argc) {
             // Strict parse: '-n 5x' and '-n -1' are usage errors, not
             // silently-accepted garbage ('-n 0' stays "unlimited").
@@ -210,52 +194,6 @@ printStats(const service::Plan& plan, const service::RunResult& r,
     }
 }
 
-/**
- * Emit the --profile report: a single machine-readable JSON object on
- * stdout plus the human-readable telemetry breakdown on stderr.  The
- * fast-forward stats are the whole run's (suffix replays included).
- */
-void
-printProfile(const std::string& query, const service::RunResult& r,
-             const telemetry::Registry& reg)
-{
-    size_t n = r.input_bytes;
-    json::Writer w;
-    w.beginObject();
-    w.key("schema");
-    w.string("jsonski-profile-v1");
-    w.key("kernel");
-    w.string(kernels::activeName());
-    w.key("query");
-    w.string(query);
-    w.key("input_bytes");
-    w.number(static_cast<int64_t>(n));
-    w.key("matches");
-    w.number(static_cast<int64_t>(r.total()));
-    w.key("telemetry_compiled");
-    w.boolean(telemetry::kEnabled);
-    w.key("ff");
-    w.beginObject();
-    for (size_t g = 0; g < ski::kGroupCount; ++g) {
-        auto grp = static_cast<ski::Group>(g);
-        char key[16];
-        std::snprintf(key, sizeof key, "G%zu", g + 1);
-        w.key(key);
-        w.number(static_cast<int64_t>(r.stats.get(grp)));
-        std::snprintf(key, sizeof key, "G%zu_ratio", g + 1);
-        w.key(key);
-        w.number(r.stats.ratio(grp, n));
-    }
-    w.key("overall_ratio");
-    w.number(r.stats.overallRatio(n));
-    w.endObject();
-    w.key("telemetry");
-    w.raw(telemetry::toJson(reg));
-    w.endObject();
-    std::printf("%s\n", w.take().c_str());
-    std::fprintf(stderr, "%s", telemetry::renderReport(reg).c_str());
-}
-
 } // namespace
 
 int
@@ -281,24 +219,15 @@ main(int argc, char** argv)
     try {
         // The plan keeps the list's first-occurrence order; duplicates
         // share one distinct query and one match stream.
-        std::string list = service::joinQueries(opt.queries);
         std::shared_ptr<const service::Plan> plan =
-            service::compilePlan(list);
+            service::compilePlan(service::joinQueries(opt.queries));
         service::RequestMap map =
             plan->mapRequest(path::QuerySet::fromTexts(opt.queries));
-        if (opt.profile)
-            for (const std::string& q : plan->query_texts)
-                std::fprintf(stderr, "%s",
-                             ski::explain(path::parse(q)).c_str());
-        PrintSink sink(opt.count_only || opt.profile,
-                       opt.queries.size() > 1, map.tag, opt.limit);
+        PrintSink sink(opt.count_only, opt.queries.size() > 1, map.tag,
+                       opt.limit);
         intervals::FileSource src(f);
-        service::RunResult r;
-        telemetry::Registry reg;
-        {
-            telemetry::Scope scope(reg);
-            r = plan->run(src, sink, opt.chunk_bytes, opt.records);
-        }
+        service::RunResult r =
+            plan->run(src, sink, opt.chunk_bytes, opt.records);
         if (opt.count_only && opt.queries.size() == 1) {
             std::printf("%zu\n", r.total());
         } else if (opt.count_only) {
@@ -307,8 +236,6 @@ main(int argc, char** argv)
                 std::printf("q%zu %s: %zu\n", i, opt.queries[i].c_str(),
                             counts[i]);
         }
-        if (opt.profile)
-            printProfile(list, r, reg);
         if (opt.stats)
             printStats(*plan, r, map.tag, opt.records);
     } catch (const std::exception& e) {

@@ -183,7 +183,17 @@ misses=$(awk '/^jsonski_server_doc_index_cache_misses /{print $2}' "$tmp/stats")
 [ "$misses" -ge 1 ] # the doc= leg above built at least one index
 errors=$(awk '/^jsonski_server_responses_error /{print $2}' "$tmp/stats")
 [ "$errors" -ge 2 ] # the two rejections above are accounted for
-echo "stats scrape ok (responses_error=$errors)"
+# The daemon reports what every ok request fast-forwarded: the five
+# per-group series sum the trailers' ff fields, so the query legs above
+# must have left them above zero.
+groups=$(grep -c '^jsonski_skipped_bytes_total{group="G[1-5]"} ' "$tmp/stats")
+[ "$groups" -eq 5 ] || {
+    echo "expected 5 skipped-bytes series, got $groups" >&2; exit 1; }
+skipped=$(awk '/^jsonski_skipped_bytes_total\{/{s += $2} END {print s + 0}' \
+    "$tmp/stats")
+[ "$skipped" -gt 0 ] || {
+    echo "no fast-forwarded bytes in the stats scrape" >&2; exit 1; }
+echo "stats scrape ok (responses_error=$errors, skipped bytes=$skipped)"
 
 # --- per-shard series -----------------------------------------------
 # Two shards were requested; the scrape must say so and expose one
@@ -202,7 +212,7 @@ echo "per-shard scrape ok (shard0=$s0 shard1=$s1 total=$total)"
 # --- load generator (when built) ------------------------------------
 # A short open-loop burst across both shards: every request must
 # succeed, which exercises the accept path, deadline plumbing, and
-# per-shard telemetry under real concurrency.
+# the per-shard counters under real concurrency.
 if [ -x "$JSQLOAD" ]; then
     "$JSQLOAD" -p "$port" -q '$.a[*]' --qps 200 --duration-ms 500 \
         --connections 4 >"$tmp/load.out"

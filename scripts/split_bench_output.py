@@ -85,7 +85,7 @@ def split_text(src: Path, out_dir: Path) -> None:
 
 def numeric_metrics(row: dict):
     """Flat {name: value} for every numeric field, descending into the
-    ff sub-object (telemetry is too deep to diff usefully here)."""
+    ff sub-object."""
     out = {}
     for key, value in row.items():
         if isinstance(value, bool):

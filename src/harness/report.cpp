@@ -7,7 +7,6 @@
 
 #include "json/writer.h"
 #include "kernels/kernel.h"
-#include "telemetry/export.h"
 
 namespace jsonski::harness {
 
@@ -110,12 +109,6 @@ BenchReport::ffStats(const ski::FastForwardStats& s, size_t input_len)
     rawField("ff", w.take());
 }
 
-void
-BenchReport::telemetry(const telemetry::Registry& r)
-{
-    rawField("telemetry", telemetry::toJson(r));
-}
-
 std::string
 BenchReport::toJson() const
 {
@@ -131,8 +124,6 @@ BenchReport::toJson() const
     w.number(static_cast<int64_t>(input_bytes_));
     w.key("threads");
     w.number(static_cast<int64_t>(threads_));
-    w.key("telemetry_compiled");
-    w.boolean(telemetry::kEnabled);
     w.key("kernel");
     w.string(kernels::activeName());
     w.key("rows");

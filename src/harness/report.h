@@ -11,11 +11,10 @@
  *   {"schema": "jsonski-bench-v1",
  *    "artifact": "fig10_large_record",
  *    "description": "...", "input_bytes": N, "threads": N,
- *    "telemetry_compiled": bool, "kernel": "avx2",
+ *    "kernel": "avx2",
  *    "rows": [{"query": "BB1", "engine": "JSONSki",
  *              "seconds": s, "gbps": g, ...,
- *              "ff": {"G1": bytes, ..., "overall_ratio": r},
- *              "telemetry": {...}}, ...]}
+ *              "ff": {"G1": bytes, ..., "overall_ratio": r}}, ...]}
  *
  * Rows are flat name→value maps; which metrics a row carries depends
  * on the bench.  The destination directory is $JSONSKI_BENCH_JSON_DIR
@@ -33,7 +32,6 @@
 
 #include "harness/runner.h"
 #include "ski/stats.h"
-#include "telemetry/telemetry.h"
 
 namespace jsonski::harness {
 
@@ -63,9 +61,6 @@ class BenchReport
 
     /** Per-group skipped bytes + ratios + overall ratio ("ff"). */
     void ffStats(const ski::FastForwardStats& s, size_t input_len);
-
-    /** Full telemetry registry export ("telemetry"). */
-    void telemetry(const telemetry::Registry& r);
 
     /** Whole report as a JSON document. */
     std::string toJson() const;

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "kernels/kernel.h"
-#include "telemetry/telemetry.h"
 
 namespace jsonski::intervals {
 namespace {
@@ -143,7 +142,6 @@ classifyStringsBlock(const char* data, ClassifierCarry& carry)
 {
     const kernels::Kernel& k = kernels::active();
     kernels::StringRaw raw = k.string_raw(data);
-    telemetry::count(telemetry::Counter::StringMaskBuilds);
     StringBits out;
     uint64_t escaped = findEscaped(raw.backslash, carry.prev_escaped);
     out.quote = raw.quote & ~escaped;

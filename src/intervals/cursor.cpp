@@ -54,19 +54,17 @@ StreamCursor::refillTo(size_t target)
             std::memmove(window_.data(),
                          window_.data() + (floor - base_), keep);
         ingest_.spill_bytes += keep;
-        telemetry::count(telemetry::Counter::ChunkSpillBytes, keep);
         // A hold below the position's block means a token or value
         // span is being carried across this seam.
-        if (std::min(hold_, scan_hold_) < pos_ - pos_ % kBlockSize) {
+        if (std::min(hold_, scan_hold_) < pos_ - pos_ % kBlockSize)
             ++ingest_.seam_straddles;
-            telemetry::count(telemetry::Counter::SeamStraddleTokens);
-        }
         base_ = floor;
     }
 
-    // Capacity for [base_, target) plus one chunk of slack, so the
-    // pull loop below always has room for a full read.
-    size_t need = std::max(target, len_) - base_ + chunk_bytes_;
+    // Capacity for [base_, target) only: the pull loop below caps each
+    // read at the free space, so the steady-state window (one chunk
+    // plus a block) grows only when a hold pins a longer span.
+    size_t need = std::max(target, len_) - base_;
     need = (need + kBlockSize - 1) / kBlockSize * kBlockSize;
     if (need > window_.size()) {
         window_.resize(std::max(need, window_.size() + window_.size() / 2));
@@ -87,7 +85,6 @@ StreamCursor::refillTo(size_t target)
         len_ += n;
         ingest_.bytes_ingested += n;
         ++ingest_.refills;
-        telemetry::count(telemetry::Counter::ChunkRefills);
     }
     return target <= len_;
 }
@@ -118,8 +115,6 @@ StreamCursor::classifyThrough(size_t idx)
 {
     assert(idx + 1 >= classified_blocks_ &&
            "cursor cannot rewind to an earlier block");
-    telemetry::PhaseScope phase(telemetry::Phase::Classify);
-    size_t first = classified_blocks_;
     while (classified_blocks_ <= idx) {
         size_t start = classified_blocks_ * kBlockSize;
         if (start + kBlockSize > len_) { // overflow-free form of the
@@ -141,10 +136,6 @@ StreamCursor::classifyThrough(size_t idx)
         }
         ++classified_blocks_;
     }
-    telemetry::count(telemetry::Counter::BlocksClassified,
-                     classified_blocks_ - first);
-    telemetry::count(telemetry::Counter::BytesScanned,
-                     (classified_blocks_ - first) * kBlockSize);
 }
 
 bool

@@ -57,7 +57,6 @@
 #include "intervals/block.h"
 #include "intervals/chunk_source.h"
 #include "intervals/classifier.h"
-#include "telemetry/telemetry.h"
 #include "util/bits.h"
 
 namespace jsonski::intervals {
@@ -69,8 +68,7 @@ class StreamCursor
     /** Sentinel for "no hold": nothing below the position is pinned. */
     static constexpr size_t kNoHold = static_cast<size_t>(-1);
 
-    /** Ingestion accounting, maintained in every build (the refill
-     *  path is cold, so these do not need the telemetry gate). */
+    /** Ingestion accounting, kept on the cold refill path. */
     struct IngestStats
     {
         uint64_t refills = 0;        ///< ChunkSource::read calls that returned data
@@ -193,11 +191,6 @@ class StreamCursor
     setPos(size_t p)
     {
         assert(p / kBlockSize + 1 >= classified_blocks_);
-        if constexpr (telemetry::kEnabled) {
-            // A backward move is a scan overshoot being corrected.
-            if (p < pos_)
-                telemetry::count(telemetry::Counter::CursorReseeks);
-        }
         pos_ = p;
     }
 

@@ -2,7 +2,7 @@
  * @file
  * Open-loop load generator for jsqd (DESIGN.md §12).
  *
- * Two pieces, shared by the jsqload CLI and bench_service_scale:
+ * Two pieces behind the jsqload CLI:
  *
  * LatencyHistogram — an HDR-style log-linear histogram of microsecond
  * latencies: each power-of-two octave is split into 64 linear

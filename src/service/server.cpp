@@ -24,7 +24,6 @@
 #include "kernels/kernel.h"
 #include "service/protocol.h"
 #include "ski/sinks.h"
-#include "telemetry/export.h"
 #include "util/deadline.h"
 
 namespace jsonski::service {
@@ -524,6 +523,7 @@ ServerStats::operator+=(const ServerStats& o)
     accept_backoffs += o.accept_backoffs;
     bytes_in_total += o.bytes_in_total;
     bytes_out_total += o.bytes_out_total;
+    skipped.merge(o.skipped);
     return *this;
 }
 
@@ -549,7 +549,6 @@ struct Server::Shard
 
     mutable std::mutex stats_mutex;
     ServerStats stats;
-    telemetry::Registry telemetry;
 
     /** Fds handed to this shard (adoptConnection / accept fallback);
      *  the shard loop drains it after every wake. */
@@ -914,24 +913,23 @@ Server::shardLoop(Shard& sh)
 
 void
 Server::bumpOk(Shard& sh, uint64_t bytes_in, uint64_t bytes_out,
-               const telemetry::Registry& reg)
+               const ski::FastForwardStats& ff)
 {
     std::lock_guard<std::mutex> lock(sh.stats_mutex);
     ++sh.stats.responses_ok;
     sh.stats.bytes_in_total += bytes_in;
     sh.stats.bytes_out_total += bytes_out;
-    sh.telemetry.merge(reg);
+    sh.stats.skipped.merge(ff);
 }
 
 void
 Server::bumpError(Shard& sh, uint64_t bytes_in, uint64_t bytes_out,
-                  const telemetry::Registry& reg, ErrorCode code)
+                  ErrorCode code)
 {
     std::lock_guard<std::mutex> lock(sh.stats_mutex);
     ++sh.stats.responses_error;
     sh.stats.bytes_in_total += bytes_in;
     sh.stats.bytes_out_total += bytes_out;
-    sh.telemetry.merge(reg);
     switch (code) {
       case ErrorCode::BadRequest:
         ++sh.stats.rejected_bad_request;
@@ -970,7 +968,6 @@ Server::handleConnection(Shard& sh, int fd)
         config_.read_deadline_ms > 0
             ? std::min(config_.read_deadline_ms, 1000)
             : 1000;
-    telemetry::Registry reg;
     Trailer trailer;
     trailer.ok = false;
     uint64_t bytes_in = 0;
@@ -1006,7 +1003,7 @@ Server::handleConnection(Shard& sh, int fd)
             trailer.error_pos = e.position();
             writer.append(encodeTrailer(trailer));
             writer.flush();
-            bumpError(sh, 0, writer.total(), reg, e.code());
+            bumpError(sh, 0, writer.total(), e.code());
             lingeringClose(fd, linger_ms);
             return;
         }
@@ -1022,7 +1019,7 @@ Server::handleConnection(Shard& sh, int fd)
             }
             writer.append(metricsText());
             writer.flush();
-            bumpOk(sh, 0, writer.total(), reg);
+            bumpOk(sh, 0, writer.total(), {});
             ::close(fd);
             return;
         }
@@ -1043,8 +1040,7 @@ Server::handleConnection(Shard& sh, int fd)
             trailer.error_pos = 0;
             writer.append(encodeTrailer(trailer));
             writer.flush();
-            bumpError(sh, 0, writer.total(), reg,
-                      ErrorCode::BadRequest);
+            bumpError(sh, 0, writer.total(), ErrorCode::BadRequest);
             lingeringClose(fd, linger_ms);
             return;
         }
@@ -1067,7 +1063,6 @@ Server::handleConnection(Shard& sh, int fd)
                       config_.max_matches, map.tag);
         RunResult result;
         try {
-            telemetry::Scope scope(reg);
             // doc= : a repeat-query document.  Materialize the sized
             // body (bounded by max_doc_bytes) and consult the shard's
             // index cache: a usable semi-index answers the skips warm;
@@ -1124,7 +1119,7 @@ Server::handleConnection(Shard& sh, int fd)
             trailer.bytes_in = bytes_in;
             writer.append(encodeTrailer(trailer));
             writer.flush();
-            bumpError(sh, bytes_in, writer.total(), reg, e.code());
+            bumpError(sh, bytes_in, writer.total(), e.code());
             lingeringClose(fd, linger_ms);
             return;
         }
@@ -1139,18 +1134,17 @@ Server::handleConnection(Shard& sh, int fd)
         }
         writer.append(encodeTrailer(trailer));
         writer.flush();
-        bumpOk(sh, bytes_in, writer.total(), reg);
+        bumpOk(sh, bytes_in, writer.total(), result.stats);
         lingeringClose(fd, linger_ms);
     } catch (const WriterDead& dead) {
         // The connection itself failed (slow reader, socket error);
         // nothing more can be delivered.
-        bumpError(sh, bytes_in, writer.total(), reg, dead.code);
+        bumpError(sh, bytes_in, writer.total(), dead.code);
         ::close(fd);
     } catch (...) {
         // Unexpected escape: never take the worker down; sever the
         // connection so the client sees a hard close, not a trailer.
-        bumpError(sh, bytes_in, writer.total(), reg,
-                  ErrorCode::Unspecified);
+        bumpError(sh, bytes_in, writer.total(), ErrorCode::Unspecified);
         ::close(fd);
     }
 }
@@ -1196,12 +1190,10 @@ Server::metricsText() const
     ServerStats total;
     std::vector<ServerStats> per_shard;
     per_shard.reserve(shards_.size());
-    telemetry::Registry merged;
     for (const auto& sh : shards_) {
         std::lock_guard<std::mutex> lock(sh->stats_mutex);
         per_shard.push_back(sh->stats);
         total += sh->stats;
-        merged.merge(sh->telemetry);
     }
     PlanCacheStats pc = planCacheTotals();
 
@@ -1273,7 +1265,14 @@ Server::metricsText() const
     shardGauge("requests_total", &ServerStats::requests_total);
     shardGauge("responses_ok", &ServerStats::responses_ok);
     shardGauge("responses_error", &ServerStats::responses_error);
-    out += telemetry::toPrometheus(merged);
+    out += "# TYPE jsonski_skipped_bytes_total counter\n";
+    for (size_t g = 0; g < ski::kGroupCount; ++g) {
+        out += "jsonski_skipped_bytes_total{group=\"G";
+        out += std::to_string(g + 1);
+        out += "\"} ";
+        out += std::to_string(total.skipped.skipped[g]);
+        out += '\n';
+    }
     return out;
 }
 

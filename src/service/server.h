@@ -6,8 +6,8 @@
  * the original single-loop topology).  Each shard owns its own
  * readiness multiplexer (epoll on Linux, poll fallback), its own
  * accept path, its own worker pool, its own plan-cache and
- * document-index-cache partitions, and
- * its own telemetry registry + counters — a connection is pinned to
+ * document-index-cache partitions, and its own counters — a
+ * connection is pinned to
  * one shard for its whole life, so hot sockets never bounce between
  * cores and the per-request hot path takes no cross-shard lock.
  *
@@ -41,10 +41,11 @@
  * connections and pausing the listener briefly instead of busy-
  * spinning the level-triggered fd.
  *
- * Observability: per-request telemetry registries merge into their
- * shard's registry; a `jsq/1 !stats` request merges *across* shards at
- * scrape time and answers with a Prometheus text page (server totals,
- * per-shard gauges, plan-cache totals, merged engine telemetry).
+ * Observability: each request bumps its shard's counters, the bytes
+ * its ok trailer reports as fast-forwarded per group included; a
+ * `jsq/1 !stats` request sums them *across* shards at scrape time and
+ * answers with a Prometheus text page (server totals, per-shard
+ * gauges, plan-cache totals, skipped bytes per group).
  *
  * Shutdown: requestStop() is async-signal-safe (it writes one byte to
  * every shard's wake pipe); each shard then stops accepting, closes
@@ -65,7 +66,7 @@
 
 #include "index/index_cache.h"
 #include "service/plan_cache.h"
-#include "telemetry/telemetry.h"
+#include "ski/stats.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -172,6 +173,9 @@ struct ServerStats
     uint64_t accept_backoffs = 0;  ///< EMFILE/ENFILE pauses taken
     uint64_t bytes_in_total = 0;   ///< request body bytes consumed
     uint64_t bytes_out_total = 0;  ///< response bytes written
+    /** Bytes fast-forwarded per group G1..G5: the sum of the `ff`
+     *  fields of every ok trailer. */
+    ski::FastForwardStats skipped;
 
     ServerStats& operator+=(const ServerStats& o);
 };
@@ -240,7 +244,7 @@ class Server
     /**
      * The Prometheus text page a `!stats` request answers with:
      * summed server counters, per-shard gauges, plan-cache totals, and
-     * the merged telemetry registry of every completed request.
+     * the bytes every ok request fast-forwarded, per group.
      */
     std::string metricsText() const;
 
@@ -250,9 +254,9 @@ class Server
     void shardLoop(Shard& shard);
     void handleConnection(Shard& shard, int fd);
     void bumpOk(Shard& shard, uint64_t bytes_in, uint64_t bytes_out,
-                const telemetry::Registry& reg);
+                const ski::FastForwardStats& ff);
     void bumpError(Shard& shard, uint64_t bytes_in, uint64_t bytes_out,
-                   const telemetry::Registry& reg, ErrorCode code);
+                   ErrorCode code);
 
     ServerConfig config_;
     std::vector<std::unique_ptr<Shard>> shards_;

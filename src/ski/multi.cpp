@@ -214,7 +214,6 @@ class MultiDriver
     void
     emitTo(const NodeSet& active, size_t begin, size_t end)
     {
-        telemetry::PhaseScope phase(telemetry::Phase::Emit);
         while (end > begin && json::isWhitespace(cur_.at(end - 1)))
             --end;
         // Collect acceptors into a bitset first: one frame per
@@ -279,8 +278,6 @@ class MultiDriver
     void
     runValue(const NodeSet& active, bool top = false)
     {
-        // Trace tag: representative trie node of the active set.
-        skip_.setTraceState(static_cast<uint16_t>(active[0]));
         bool want_obj = false;
         bool want_ary = false;
         bool accepts = false;
@@ -374,7 +371,6 @@ class MultiDriver
                 continue;
             }
             runValue(targets);
-            skip_.setTraceState(static_cast<uint16_t>(active[0]));
             // Generalized G4: abandon the object once every candidate
             // name has been seen (names are unique per object).
             if (--remaining == 0) {
@@ -433,7 +429,6 @@ class MultiDriver
                 skip_.overValue(Group::G5); // a gap between ranges
             } else {
                 runValue(covering);
-                skip_.setTraceState(static_cast<uint16_t>(active[0]));
             }
             c = cur_.skipWhitespace();
             if (c == ',') {

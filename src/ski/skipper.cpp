@@ -82,7 +82,6 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
                         size_t account_from, int64_t close_level)
 {
     assert(depth > 0);
-    telemetry::PhaseScope phase(telemetry::Phase::Pair);
     size_t start = account_from;
     const char open_ch = object ? '{' : '[';
     const char close_ch = object ? '}' : ']';
@@ -112,7 +111,6 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
         return;
     }
     while (!cur_.atEnd()) {
-        telemetry::count(telemetry::Counter::PairingProbeWords);
         size_t base = cur_.blockIndex() * kBlockSize;
         uint64_t opens = cur_.maskFromPos(cur_.bits(open_ch));
         uint64_t closes = cur_.maskFromPos(cur_.bits(close_ch));
@@ -161,7 +159,6 @@ Skipper::closeContainer(bool object, uint64_t depth, Group g,
 void
 Skipper::overPrimitive(Group g)
 {
-    telemetry::PhaseScope phase(telemetry::Phase::Skip);
     size_t start = cur_.pos();
     while (!cur_.atEnd()) {
         size_t base = cur_.blockIndex() * kBlockSize;
@@ -204,7 +201,6 @@ Skipper::scanPrimitives(bool closer_is_brace, size_t max_seps, size_t& seps,
                         Group g)
 {
     assert(seps < max_seps);
-    telemetry::PhaseScope phase(telemetry::Phase::Skip);
     size_t start = cur_.pos();
     const char closer_ch = closer_is_brace ? '}' : ']';
     int64_t lvl = indexedLevel();
@@ -405,7 +401,6 @@ Skipper::toAttr(TypeFilter filter, Group g)
 Skipper::AttrResult
 Skipper::keyBefore(size_t value_pos) const
 {
-    telemetry::count(telemetry::Counter::PairingFallbackParses);
     auto is_ws = [](char c) {
         return c == ' ' || c == '\t' || c == '\n' || c == '\r';
     };

@@ -31,7 +31,6 @@
 #include "index/structural_index.h"
 #include "intervals/cursor.h"
 #include "ski/stats.h"
-#include "telemetry/telemetry.h"
 
 namespace jsonski::ski {
 
@@ -192,20 +191,6 @@ class Skipper
     /** Consume expected punctuation after whitespace. */
     void consume(char expected);
 
-    /**
-     * Automaton state tag recorded with every fast-forward trace entry
-     * (query step for the single-query driver, trie node id for the
-     * multi-query driver).  Compiled to nothing when telemetry is off.
-     */
-    void
-    setTraceState(uint16_t state)
-    {
-        if constexpr (telemetry::kEnabled)
-            trace_state_ = state;
-        else
-            (void)state;
-    }
-
   private:
     enum class ScanStop { OpenBrace, OpenBracket, Closer, SepBudget };
 
@@ -285,11 +270,6 @@ class Skipper
             return;
         if (stats_)
             stats_->add(g, to - from);
-        // Telemetry records independently of stats_: phase-0 skippers
-        // in parallel runs pass a null stats pointer but their skips
-        // still belong in the trace.
-        telemetry::recordSkip(static_cast<uint8_t>(g), from, to,
-                              trace_state_);
     }
 
     intervals::StreamCursor& cur_;
@@ -297,7 +277,6 @@ class Skipper
     const index::StructuralIndex* index_ = nullptr;
     const int* depth_ptr_ = nullptr;
     bool batch_primitives_ = true;
-    uint16_t trace_state_ = 0;
 };
 
 } // namespace jsonski::ski

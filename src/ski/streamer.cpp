@@ -142,7 +142,6 @@ class Driver
     void
     emitValue()
     {
-        telemetry::PhaseScope phase(telemetry::Phase::Emit);
         size_t start = cur_.pos();
         // The whole value span must stay resident until it is handed
         // to the sink, however many chunk seams it crosses.
@@ -168,7 +167,6 @@ class Driver
     runObject(size_t state)
     {
         DepthScope depth(depth_);
-        skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
         bool accept_child = (state + 1 == q_.size());
         bool desc_child =
@@ -215,7 +213,6 @@ class Driver
                     runObject(state + 1);
                 else
                     runArray(state + 1);
-                skip_.setTraceState(static_cast<uint16_t>(state));
             }
             // G4: attribute names are unique per object — nothing else
             // in this object can match; fast-forward past its '}'.
@@ -236,7 +233,6 @@ class Driver
             return;
         }
         DepthScope depth(depth_);
-        skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
         bool accept_child = (state + 1 == q_.size());
         size_t idx = 0;
@@ -303,7 +299,6 @@ class Driver
                     runObject(state + 1);
                 else
                     runArray(state + 1);
-                skip_.setTraceState(static_cast<uint16_t>(state));
             }
             c = cur_.skipWhitespace();
             if (c == ',') {
@@ -336,7 +331,6 @@ class Driver
     runFilterArray(size_t state)
     {
         DepthScope depth(depth_);
-        skip_.setTraceState(static_cast<uint16_t>(state));
         const PathStep& st = q_[state];
         bool accept_child = (state + 1 == q_.size());
         size_t idx = 0;
@@ -360,13 +354,11 @@ class Driver
             if (filterVerdict(st)) {
                 size_t end = cur_.pos();
                 if (accept_child) {
-                    telemetry::PhaseScope phase(telemetry::Phase::Emit);
                     ++result_.matches;
                     if (sink_)
                         sink_->onMatch(cur_.slice(start, end));
                 } else {
                     runContinuation(state + 1, start, end);
-                    skip_.setTraceState(static_cast<uint16_t>(state));
                 }
             }
             cur_.setHold(saved);
@@ -480,8 +472,6 @@ class Driver
     runDescObject()
     {
         DepthScope depth(depth_);
-        // Descendant traversal belongs to the terminal `..name` step.
-        skip_.setTraceState(static_cast<uint16_t>(q_.size() - 1));
         if (++desc_depth_ > kMaxDescDepth)
             throw ParseError(ErrorCode::DepthExceeded,
                              "nesting too deep for descendant traversal",

@@ -120,10 +120,11 @@ class Streamer
 
     /**
      * Whole-buffer evaluation that is never rerouted by
-     * JSONSKI_TEST_CHUNK_BYTES.  Reserved for callers that require the
-     * input to stay resident — the parallel splitter keeps zero-copy
-     * views of @p json across its fan-out/merge phases.  Everything
-     * else should call run().
+     * JSONSKI_TEST_CHUNK_BYTES.  In the library it serves only
+     * MultiStreamer's divergent-suffix replays, which evaluate a span
+     * of the window the outer pass still holds resident; tests use it
+     * as the whole-buffer reference.  Everything else should call
+     * run().
      */
     StreamResult runResident(std::string_view json,
                              MatchSink* sink = nullptr) const;

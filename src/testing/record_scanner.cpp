@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "intervals/classifier.h"
-#include "telemetry/telemetry.h"
 #include "util/bits.h"
 #include "util/error.h"
 
@@ -21,10 +20,7 @@ scanRecords(std::string_view stream, size_t* tail_start)
     size_t record_start = 0;
     bool in_record = false;
 
-    telemetry::PhaseScope phase(telemetry::Phase::Classify);
     for (size_t base = 0; base < stream.size(); base += kBlockSize) {
-        telemetry::count(telemetry::Counter::BlocksClassified);
-        telemetry::count(telemetry::Counter::BytesScanned, kBlockSize);
         size_t len = std::min(kBlockSize, stream.size() - base);
         const char* d = stream.data() + base;
         char padded[kBlockSize];

@@ -278,6 +278,27 @@ TEST(ChunkedCursorTest, WindowPeakBoundedByTwiceChunkBytes)
         << "resident window exceeded 2x chunk size";
 }
 
+TEST(ChunkedCursorTest, WindowStaysOneChunkPlusOneBlock)
+{
+    // DESIGN.md §9: with no hold longer than a chunk, the window never
+    // leaves its steady-state size of one block-rounded chunk plus one
+    // block of slack.  Every matched user id is shorter than a block.
+    const std::string doc =
+        jsonski::gen::generateLarge(jsonski::gen::DatasetId::TT, 1 << 20);
+    Streamer streamer(jsonski::path::parse("$[*].user.id"));
+    for (size_t chunk : {size_t{4096}, size_t{65536}}) {
+        ViewSource src(doc, chunk);
+        CollectSink sink;
+        StreamResult r = streamer.run(src, &sink, chunk);
+        ASSERT_GT(sink.values.size(), 0u);
+        for (const std::string& v : sink.values)
+            ASSERT_LT(v.size(), 64u) << v;
+        EXPECT_GT(r.ingest.refills, 1u);
+        EXPECT_EQ(r.ingest.window_peak, (chunk + 63) / 64 * 64 + 64)
+            << "chunk " << chunk;
+    }
+}
+
 TEST(ChunkedCursorTest, HeapPeakStaysFarBelowDocumentSize)
 {
     // Same criterion through the heap accounting hooks: streaming a

@@ -320,7 +320,9 @@ TEST(JsqCli, SidecarFlagsAreGone)
     for (const Args& args :
          {Args{"--index-load", tempPath("doc.jski"), "$.a", path},
           Args{"--index-save", tempPath("doc.jski"), "$.a", path},
-          Args{"--index-cache", "$.a", path}}) {
+          Args{"--index-cache", "$.a", path},
+          // No profile flag: -s prints the fast-forward split.
+          Args{"-p", "$.a", path}, Args{"--profile", "$.a", path}}) {
         JsqRun r = runJsq(args);
         EXPECT_EQ(r.code, 2) << args[0];
         EXPECT_NE(r.err.find("usage: jsq"), std::string::npos) << args[0];

@@ -1067,14 +1067,45 @@ TEST(Service, TelemetryMergesAcrossRequests)
 {
     Server server;
     server.start();
+    // Every ok trailer's ff adds to the skipped bytes !stats reports
+    // per group; an error trailer adds nothing, even when its run
+    // fast-forwarded bytes before it failed.
+    std::array<uint64_t, ski::kGroupCount> ff_sum{};
+    auto addOk = [&ff_sum](const ClientResult& r) {
+        ASSERT_TRUE(r.has_trailer);
+        ASSERT_TRUE(r.trailer.ok);
+        for (size_t g = 0; g < ff_sum.size(); ++g)
+            ff_sum[g] += r.trailer.ff[g];
+    };
     for (int i = 0; i < 3; ++i)
-        runRequest(server, queryHeader("$.a[*]"),
-                   R"({"a": [1, 2, 3], "skip": [4, 5, 6]})");
-    // The merged registry feeds metricsText(); the server counters in
-    // it must reflect all three requests.
+        addOk(runRequest(server, queryHeader("$.a[*]"),
+                         R"({"a": [1, 2, 3], "skip": [4, 5, 6]})"));
+    RequestHeader multi;
+    multi.queries = {"$.a[1:2]", "$.b.c"};
+    addOk(runRequest(server, multi,
+                     R"({"a": [1, 2, 3], "b": {"c": 1, "d": [7]}, "e": 0})"));
+    RequestHeader records = queryHeader("$.k");
+    records.records = true;
+    addOk(runRequest(server, records,
+                     "{\"k\": 1, \"x\": [1, 2]}\n"
+                     "{\"y\": {\"z\": 0}, \"k\": 2, \"w\": 3}\n"));
+    ClientResult bad = runRequest(server, queryHeader("$.a[*]"),
+                                  R"({"skip": [4, 5, 6], "a": [1, )");
+    ASSERT_TRUE(bad.has_trailer);
+    EXPECT_FALSE(bad.trailer.ok);
+
     std::string page = server.metricsText();
-    EXPECT_NE(page.find("jsonski_server_requests_total 3"),
+    EXPECT_NE(page.find("jsonski_server_requests_total 6"),
               std::string::npos);
+    uint64_t total = 0;
+    for (size_t g = 0; g < ff_sum.size(); ++g) {
+        std::string series = "jsonski_skipped_bytes_total{group=\"G" +
+                             std::to_string(g + 1) + "\"} " +
+                             std::to_string(ff_sum[g]) + "\n";
+        EXPECT_NE(page.find(series), std::string::npos) << series << page;
+        total += ff_sum[g];
+    }
+    EXPECT_GT(total, 0u);
     server.stop();
 }
 

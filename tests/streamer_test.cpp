@@ -281,3 +281,16 @@ TEST(Streamer, IndexIntoNestedArrays)
     ASSERT_EQ(r.count, 1u);
     EXPECT_EQ(r.values[0], "[-73.910408, 40.877483]");
 }
+
+TEST(StatsTest, RatiosClampToOne)
+{
+    // A record-stream accumulation can exceed the single-document
+    // length handed to ratio(); the accessors clamp (stats.h contract).
+    FastForwardStats stats;
+    stats.add(Group::G1, 500);
+    stats.add(Group::G2, 700);
+    EXPECT_DOUBLE_EQ(stats.ratio(Group::G1, 100), 1.0);
+    EXPECT_DOUBLE_EQ(stats.overallRatio(100), 1.0);
+    EXPECT_DOUBLE_EQ(stats.overallRatio(0), 0.0);
+    EXPECT_LE(stats.ratio(Group::G1, 1000), 0.5);
+}
