@@ -19,7 +19,7 @@ for b in build/bench/bench_table4_datasets build/bench/bench_table5_queries \
          build/bench/bench_fig12_small_par build/bench/bench_fig13_memory \
          build/bench/bench_table6_ff_ratio build/bench/bench_fig14_scalability \
          build/bench/bench_ablation build/bench/bench_multiquery \
-         build/bench/bench_ext_descendant; do
+         build/bench/bench_filter build/bench/bench_ext_descendant; do
     name=$(basename "$b" | sed 's/^bench_//')
     echo "== $name =="
     "$b" "$SCALE_MB" | tee "results/${name}.txt"

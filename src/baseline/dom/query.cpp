@@ -17,7 +17,7 @@ using path::PathStep;
  * both engines call the same path::evalPredicate.
  */
 bool
-filterVerdict(const PathStep& step, const Node* elem)
+passesFilter(const PathStep& step, const Node* elem)
 {
     if (!elem->isObject())
         return false; // `@.field` requires an object element
@@ -45,12 +45,17 @@ walkNfa(const Node* node, const PathQuery& q, const NfaSet& set,
         if (sink)
             sink->onMatch(node->text);
     }
+    NfaSet next;
     if (node->isObject() && path::nfaWantsObject(q, set)) {
-        // One consumed mask per object: Key states bind to the first
-        // member with their name only (duplicate-key contract).
+        // One consumed mask per object: a Key state binds to the first
+        // member with its name whose value the next step can use
+        // (path::nfaNeeds, the duplicate-key contract).
         std::vector<char> consumed(set.states.size(), 0);
         for (const auto& [name, child] : node->members) {
-            NfaSet next = path::nfaOnKey(q, set, name, &consumed);
+            char first = child->isObject()  ? '{'
+                         : child->isArray() ? '['
+                                            : child->text.front();
+            path::nfaOnKey(q, set, name, first, consumed, next);
             if (!next.empty())
                 matches += walkNfa(child, q, next, sink);
         }
@@ -58,10 +63,9 @@ walkNfa(const Node* node, const PathQuery& q, const NfaSet& set,
         std::vector<std::pair<size_t, uint64_t>> filters;
         for (size_t idx = 0; idx < node->elements.size(); ++idx) {
             filters.clear();
-            NfaSet next =
-                path::nfaOnElement(q, set, idx, &filters);
+            path::nfaOnElement(q, set, idx, next, &filters);
             for (const auto& [s, c] : filters) {
-                if (filterVerdict(q[s], node->elements[idx]))
+                if (passesFilter(q[s], node->elements[idx]))
                     next.add(s + 1, c);
             }
             if (!next.empty())

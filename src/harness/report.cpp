@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 #include "json/writer.h"
 #include "kernels/kernel.h"
@@ -148,27 +150,31 @@ BenchReport::toJson() const
 bool
 BenchReport::write() const
 {
+    // Flush the table before any error line, so the line cannot land
+    // inside it when stdout and stderr share a file.
+    auto fail = [](const char* what, const std::string& path) {
+        std::fflush(stdout);
+        std::fprintf(stderr, "bench report: %s %s\n", what, path.c_str());
+        return false;
+    };
     std::string dir;
     if (const char* env = std::getenv("JSONSKI_BENCH_JSON_DIR"))
         dir = env;
+    std::error_code ec;
+    if (!dir.empty())
+        std::filesystem::create_directories(dir, ec); // fopen reports
     std::string path = dir.empty()
                            ? "BENCH_" + artifact_ + ".json"
                            : dir + "/BENCH_" + artifact_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "bench report: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
+    if (f == nullptr)
+        return fail("cannot write", path);
     std::string body = toJson();
     size_t n = std::fwrite(body.data(), 1, body.size(), f);
     std::fputc('\n', f);
     std::fclose(f);
-    if (n != body.size()) {
-        std::fprintf(stderr, "bench report: short write to %s\n",
-                     path.c_str());
-        return false;
-    }
+    if (n != body.size())
+        return fail("short write to", path);
     std::printf("[bench json: %s]\n", path.c_str());
     return true;
 }

@@ -187,6 +187,17 @@ struct PathStep
                kind == Kind::Wildcard || kind == Kind::Filter;
     }
 
+    /**
+     * True for the paper's step kinds — key, index, slice, wildcard —
+     * which bind from a name or a position alone, one automaton state
+     * per level; filters and `..` are the extensions.
+     */
+    bool
+    isPlain() const
+    {
+        return kind != Kind::Filter && kind != Kind::Descendant;
+    }
+
     /** For array steps: does array position @p idx satisfy the step? */
     bool
     coversIndex(size_t idx) const

@@ -130,10 +130,10 @@ class QueryAutomaton
 
 /**
  * Multiset of NFA states for the nondeterministic query surface
- * (interior descendants and filters; DESIGN.md §13).  State i means
- * "the first i steps matched along some root-to-here path"; the count
- * is the number of distinct such paths, and a value is emitted once
- * per accepting path.  Kept sorted by state; tiny (bounded by query
+ * (descendants and filters; DESIGN.md §13).  State i means "the first
+ * i steps matched along some root-to-here path"; the count is the
+ * number of distinct such paths, and a value is emitted once per
+ * accepting path.  Kept sorted by state; tiny (bounded by query
  * length), so linear operations are fine.
  */
 struct NfaSet
@@ -141,6 +141,8 @@ struct NfaSet
     std::vector<std::pair<size_t, uint64_t>> states;
 
     bool empty() const { return states.empty(); }
+
+    void clear() { states.clear(); }
 
     void
     add(size_t state, uint64_t count)
@@ -164,57 +166,62 @@ struct NfaSet
     uint64_t
     acceptCount(const PathQuery& q) const
     {
-        for (const auto& [s, c] : states) {
-            if (s == q.size())
-                return c;
-        }
-        return 0;
-    }
-
-    /** Copy without the accepting state. */
-    NfaSet
-    withoutAccept(const PathQuery& q) const
-    {
-        NfaSet out;
-        for (const auto& [s, c] : states) {
-            if (s != q.size())
-                out.states.emplace_back(s, c);
-        }
-        return out;
+        // Sorted: the accepting state, when present, is the last.
+        return !states.empty() && states.back().first == q.size()
+                   ? states.back().second
+                   : 0;
     }
 };
 
 /**
- * [Key] transition over the multiset.  Accepting states are dropped:
- * whenever state n is produced by a descendant step, the searching
- * state that produced it stays co-resident in the set, so the
- * continued search the deterministic automaton emulates with its
+ * First byte a value must start with to feed state @p next: '{' before
+ * a Key step, '[' before an index, slice, wildcard or filter step, and
+ * 0 (any value) before `..` or at ACCEPT.
+ *
+ * This is the key-binding rule every engine shares: a Key step binds
+ * the first member with its name whose value the next step can use.
+ * It is the rule the G1 typed attribute scan forces, since a batched
+ * primitive run never reads the names it skips.
+ */
+inline char
+nfaNeeds(const PathQuery& q, size_t next)
+{
+    if (next >= q.size() || q[next].kind == PathStep::Kind::Descendant)
+        return 0;
+    return q[next].isArrayStep() ? '[' : '{';
+}
+
+/**
+ * [Key] transition over the multiset into @p out, for a member named
+ * @p key whose value starts with @p first.  Accepting states are
+ * dropped: whenever state n is produced by a descendant step, the
+ * searching state that produced it stays co-resident in the set, so
+ * the continued search the deterministic automaton emulates with its
  * "state - 1" trick is already represented.
  *
  * @p consumed (parallel to in.states, carried across the members of
- * ONE object) pins the engines' duplicate-key semantics: a Key step
- * binds to the first member with its name only — the streamer leaves
- * the object via G4 after that member — while a Descendant step keeps
- * examining every member, duplicates included.  Entries are marked
- * here when a Key state advances.
+ * ONE object) pins the duplicate-key semantics: a Key step binds once,
+ * to the first member whose value nfaNeeds() admits, while a
+ * Descendant step keeps examining every member, duplicates included.
+ * Entries are marked here when a Key state advances.
  */
-inline NfaSet
+inline void
 nfaOnKey(const PathQuery& q, const NfaSet& in, std::string_view key,
-         std::vector<char>* consumed = nullptr)
+         char first, std::vector<char>& consumed, NfaSet& out)
 {
-    NfaSet out;
+    out.clear();
     for (size_t i = 0; i < in.states.size(); ++i) {
         auto [s, c] = in.states[i];
         if (s >= q.size())
             continue;
         const PathStep& step = q[s];
         if (step.kind == PathStep::Kind::Key) {
-            if (consumed && (*consumed)[i])
+            if (consumed[i] || step.key != key)
                 continue;
-            if (step.key == key) {
+            char need = nfaNeeds(q, s + 1);
+            if (need == 0 || need == first) {
                 out.add(s + 1, c);
-                if (consumed)
-                    (*consumed)[i] = 1;
+                consumed[i] = 1;
             }
         } else if (step.kind == PathStep::Kind::Descendant) {
             out.add(s, c); // keep searching at any depth
@@ -222,20 +229,19 @@ nfaOnKey(const PathQuery& q, const NfaSet& in, std::string_view key,
                 out.add(s + 1, c);
         }
     }
-    return out;
 }
 
 /**
- * Array-element transition over the multiset.  Filter steps cannot be
- * resolved from the index alone: their (state, count) pairs are
- * appended to @p pending_filters and the caller adds (state + 1,
- * count) for each verdict that comes back true.
+ * Array-element transition over the multiset into @p out.  Filter
+ * steps cannot be resolved from the index alone: their (state, count)
+ * pairs are appended to @p pending_filters, when given, and the caller
+ * adds (state + 1, count) for each verdict that comes back true.
  */
-inline NfaSet
-nfaOnElement(const PathQuery& q, const NfaSet& in, size_t idx,
+inline void
+nfaOnElement(const PathQuery& q, const NfaSet& in, size_t idx, NfaSet& out,
              std::vector<std::pair<size_t, uint64_t>>* pending_filters)
 {
-    NfaSet out;
+    out.clear();
     for (const auto& [s, c] : in.states) {
         if (s >= q.size())
             continue;
@@ -250,7 +256,6 @@ nfaOnElement(const PathQuery& q, const NfaSet& in, size_t idx,
             out.add(s, c);
         }
     }
-    return out;
 }
 
 /** Can entering an object make progress from @p set? */
@@ -278,18 +283,6 @@ nfaWantsArray(const PathQuery& q, const NfaSet& set)
             continue;
         if (q[s].isArrayStep() ||
             q[s].kind == PathStep::Kind::Descendant)
-            return true;
-    }
-    return false;
-}
-
-/** Is any live state a descendant search? */
-inline bool
-nfaHasDescendant(const PathQuery& q, const NfaSet& set)
-{
-    for (const auto& [s, c] : set.states) {
-        (void)c;
-        if (s < q.size() && q[s].kind == PathStep::Kind::Descendant)
             return true;
     }
     return false;

@@ -1,6 +1,7 @@
 #include "ski/multi.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "intervals/cursor.h"
 #include "json/text.h"
@@ -14,20 +15,6 @@ namespace jsonski::ski {
 
 using path::PathQuery;
 using path::PathStep;
-
-namespace {
-
-/** Is @p kind compiled into the shared trie (vs a divergent suffix)? */
-bool
-isPlainStep(PathStep::Kind kind)
-{
-    return kind == PathStep::Kind::Key ||
-           kind == PathStep::Kind::Index ||
-           kind == PathStep::Kind::Slice ||
-           kind == PathStep::Kind::Wildcard;
-}
-
-} // namespace
 
 MultiStreamer::MultiStreamer(std::vector<PathQuery> queries)
     : set_(path::QuerySet::normalize(std::move(queries)))
@@ -52,7 +39,7 @@ MultiStreamer::build()
         size_t k = 0;
         for (; k < q.steps.size(); ++k) {
             const PathStep& step = q.steps[k];
-            if (!isPlainStep(step.kind))
+            if (!step.isPlain())
                 break; // filter/descendant: the suffix diverges here
             int next = -1;
             if (step.kind == PathStep::Kind::Key) {
@@ -94,34 +81,41 @@ MultiStreamer::build()
             suffix.steps.assign(q.steps.begin() +
                                     static_cast<std::ptrdiff_t>(k),
                                 q.steps.end());
+            uint8_t needs = suffix.steps.front().kind ==
+                                    PathStep::Kind::Filter
+                                ? kArrayValue
+                                : kAnyValue;
             trie_[node].suffixes.push_back(suffixes_.size());
-            suffixes_.push_back(Suffix{qi, Streamer(std::move(suffix))});
+            suffixes_.push_back(
+                Suffix{qi, Streamer(std::move(suffix)), needs});
         } else {
             trie_[node].accepts.push_back(qi);
         }
     }
 
-    // Type summary per node, for the G1 typed attribute scan.
+    // Interest summary per node: key binding and the G1 typed scan.
     for (Node& n : trie_) {
-        bool wants_obj = !n.key_children.empty();
-        bool wants_ary = !n.array_children.empty();
-        bool wants_any = !n.accepts.empty();
-        for (size_t si : n.suffixes) {
-            const PathStep& first =
-                suffixes_[si].streamer.query().steps.front();
-            if (first.kind == PathStep::Kind::Filter)
-                wants_ary = true;
-            else
-                wants_any = true; // descendant: any container type
-        }
-        n.obj_only = wants_obj && !wants_ary && !wants_any;
-        n.ary_only = wants_ary && !wants_obj && !wants_any;
+        if (!n.accepts.empty())
+            n.needs |= kAnyValue;
+        if (!n.key_children.empty())
+            n.needs |= kObjectValue;
+        if (!n.array_children.empty())
+            n.needs |= kArrayValue;
+        for (size_t si : n.suffixes)
+            n.needs |= suffixes_[si].needs;
     }
 }
 
 namespace {
 
-using NodeSet = std::vector<int>;
+/** A trie node live at a value, with the Needs bits it serves there. */
+struct Active
+{
+    int node;
+    uint8_t mask;
+};
+
+using NodeSet = std::vector<Active>;
 
 /**
  * MatchSink adapter for a divergent-suffix replay: forwards each match
@@ -169,7 +163,8 @@ class MultiDriver
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result),
-          emit_bits_(ms.queryCount())
+          emit_bits_(ms.queryCount()),
+          root_{{0, ms.trie_[0].needs}}
     {}
 
     MultiDriver(const MultiStreamer& ms, intervals::ChunkSource& source,
@@ -181,7 +176,8 @@ class MultiDriver
           skip_(cur_, &result.stats),
           sink_(sink),
           result_(result),
-          emit_bits_(ms.queryCount())
+          emit_bits_(ms.queryCount()),
+          root_{{0, ms.trie_[0].needs}}
     {}
 
     /** Record ingestion totals once the pass is over. */
@@ -220,9 +216,11 @@ class MultiDriver
         // distinct query per value, by construction, in ascending-id
         // order regardless of active-set order.
         emit_bits_.clear();
-        for (int n : active) {
-            for (size_t qi : node(n).accepts)
-                emit_bits_.set(qi);
+        for (auto [n, m] : active) {
+            if (m & MultiStreamer::kAnyValue) {
+                for (size_t qi : node(n).accepts)
+                    emit_bits_.set(qi);
+            }
         }
         emit_bits_.forEach([&](size_t qi) {
             ++result_.matches[qi];
@@ -245,9 +243,11 @@ class MultiDriver
         while (end > begin && json::isWhitespace(cur_.at(end - 1)))
             --end;
         std::string_view span = cur_.slice(begin, end);
-        for (int n : active) {
+        for (auto [n, m] : active) {
             for (size_t si : node(n).suffixes) {
                 const MultiStreamer::Suffix& suf = ms_.suffixes_[si];
+                if (!(suf.needs & m))
+                    continue;
                 SuffixSink fwd(sink_, suf.qi);
                 StreamResult r;
                 try {
@@ -282,11 +282,14 @@ class MultiDriver
         bool want_ary = false;
         bool accepts = false;
         bool suffix = false;
-        for (int n : active) {
-            want_obj = want_obj || !node(n).key_children.empty();
-            want_ary = want_ary || !node(n).array_children.empty();
-            accepts = accepts || !node(n).accepts.empty();
-            suffix = suffix || !node(n).suffixes.empty();
+        for (auto [n, m] : active) {
+            want_obj = want_obj || (m & MultiStreamer::kObjectValue);
+            want_ary = want_ary || ((m & MultiStreamer::kArrayValue) &&
+                                    !node(n).array_children.empty());
+            accepts = accepts || ((m & MultiStreamer::kAnyValue) &&
+                                  !node(n).accepts.empty());
+            for (size_t si : node(n).suffixes)
+                suffix = suffix || (ms_.suffixes_[si].needs & m);
         }
 
         char c = cur_.skipWhitespace();
@@ -323,29 +326,30 @@ class MultiDriver
             cur_.setHold(saved);
     }
 
-    /** Count of distinct attribute names the active set can match. */
-    size_t
-    distinctKeyCount(const NodeSet& active)
-    {
-        if (active.size() == 1)
-            return node(active[0]).key_children.size();
-        scratch_keys_.clear();
-        for (int n : active) {
-            for (const auto& [key, child] : node(n).key_children) {
-                if (std::find(scratch_keys_.begin(), scratch_keys_.end(),
-                              key) == scratch_keys_.end()) {
-                    scratch_keys_.push_back(key);
-                }
-            }
-        }
-        return scratch_keys_.size();
-    }
-
-    /** Entry: position just past '{'.  Exit: just past the '}'. */
+    /**
+     * Entry: position just past '{'.  Exit: just past the '}'.
+     *
+     * Each interest of each candidate child binds once, to the first
+     * member with its name whose value it can use — the rule every
+     * single-query engine keeps (path::nfaNeeds).
+     */
     void
     runObject(const NodeSet& active)
     {
-        size_t remaining = distinctKeyCount(active);
+        // Generalized G4: abandon the object once every interest of
+        // every candidate child has bound.  The bound bits of this
+        // object sit on top of bound_, above its ancestors' entries.
+        size_t base = bound_.size();
+        size_t remaining = 0;
+        for (auto [n, m] : active) {
+            if (!(m & MultiStreamer::kObjectValue))
+                continue;
+            for (const auto& [key, child] : node(n).key_children) {
+                bound_.push_back(0);
+                remaining += static_cast<size_t>(
+                    std::popcount(unsigned{node(child).needs}));
+            }
+        }
 
         // A shared type filter is sound only when every candidate
         // attribute needs the same container type.
@@ -356,14 +360,31 @@ class MultiDriver
         for (;;) {
             Skipper::AttrResult attr = skip_.toAttr(filter, Group::G1);
             if (!attr.found)
-                return;
+                break;
             std::string_view key =
                 cur_.slice(attr.key_begin, attr.key_end);
+            char c = cur_.current();
+            uint8_t usable = MultiStreamer::kAnyValue |
+                             (c == '{'   ? MultiStreamer::kObjectValue
+                              : c == '[' ? MultiStreamer::kArrayValue
+                                         : 0);
             targets.clear();
-            for (int n : active) {
+            size_t b = base;
+            for (auto [n, m] : active) {
+                if (!(m & MultiStreamer::kObjectValue))
+                    continue;
                 for (const auto& [k, child] : node(n).key_children) {
-                    if (k == key)
-                        targets.push_back(child);
+                    size_t i = b++;
+                    if (k != key)
+                        continue;
+                    auto take = static_cast<uint8_t>(node(child).needs &
+                                                     usable & ~bound_[i]);
+                    if (take == 0)
+                        continue;
+                    targets.push_back({child, take});
+                    bound_[i] |= take;
+                    remaining -= static_cast<size_t>(
+                        std::popcount(unsigned{take}));
                 }
             }
             if (targets.empty()) {
@@ -371,13 +392,12 @@ class MultiDriver
                 continue;
             }
             runValue(targets);
-            // Generalized G4: abandon the object once every candidate
-            // name has been seen (names are unique per object).
-            if (--remaining == 0) {
+            if (remaining == 0) {
                 skip_.toObjEnd(Group::G4);
-                return;
+                break;
             }
         }
+        bound_.resize(base);
     }
 
     /** Entry: position just past '['.  Exit: just past the ']'. */
@@ -387,7 +407,9 @@ class MultiDriver
         // Local copy: recursion below may reuse the scratch space.
         std::vector<std::pair<const PathStep*, int>> steps;
         steps.reserve(4);
-        for (int n : active) {
+        for (auto [n, m] : active) {
+            if (!(m & MultiStreamer::kArrayValue))
+                continue;
             for (const auto& [step, child] : node(n).array_children)
                 steps.emplace_back(&step, child);
         }
@@ -423,7 +445,7 @@ class MultiDriver
             covering.clear();
             for (auto& [step, child] : steps) {
                 if (step->coversIndex(idx))
-                    covering.push_back(child);
+                    covering.push_back({child, node(child).needs});
             }
             if (covering.empty()) {
                 skip_.overValue(Group::G5); // a gap between ranges
@@ -451,11 +473,13 @@ class MultiDriver
     {
         bool all_obj = true;
         bool all_ary = true;
-        for (int n : active) {
+        for (auto [n, m] : active) {
+            if (!(m & MultiStreamer::kObjectValue))
+                continue;
             for (const auto& [key, child] : node(n).key_children) {
-                const MultiStreamer::Node& t = node(child);
-                all_obj = all_obj && t.obj_only;
-                all_ary = all_ary && t.ary_only;
+                uint8_t needs = node(child).needs;
+                all_obj = all_obj && needs == MultiStreamer::kObjectValue;
+                all_ary = all_ary && needs == MultiStreamer::kArrayValue;
             }
         }
         if (all_obj)
@@ -467,13 +491,14 @@ class MultiDriver
 
     const MultiStreamer& ms_;
     const std::vector<MultiStreamer::Node>& trie_;
-    const NodeSet root_{0}; ///< the active set at a top-level value
-    std::vector<std::string_view> scratch_keys_;
     intervals::StreamCursor cur_;
     Skipper skip_;
     MultiSink* sink_;
     MultiStreamer::Result& result_;
     path::QueryBits emit_bits_;
+    const NodeSet root_; ///< the active set at a top-level value
+    /** Needs bound per key child of every object being read. */
+    std::vector<uint8_t> bound_;
 };
 
 namespace {

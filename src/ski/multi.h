@@ -27,6 +27,7 @@
 #define JSONSKI_SKI_MULTI_H
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -159,11 +160,23 @@ class MultiStreamer
   private:
     friend class MultiDriver;
 
+    /**
+     * What a value must be to serve an interest of a trie node: a key
+     * step binds each interest separately, to the first member with
+     * its name whose value the interest can use (path::nfaNeeds).
+     */
+    enum Needs : uint8_t {
+        kAnyValue = 1,    ///< accepts, descendant-first suffixes
+        kObjectValue = 2, ///< key children
+        kArrayValue = 4,  ///< array children, filter-first suffixes
+    };
+
     /** A query's divergent tail: replayed by a single-query engine. */
     struct Suffix
     {
         size_t qi;         ///< distinct query id it reports as
         Streamer streamer; ///< compiled `$<first filter/desc step>...`
+        uint8_t needs;     ///< kArrayValue for a filter, else kAnyValue
     };
 
     /** One trie node; an edge per distinct next plain step. */
@@ -185,13 +198,11 @@ class MultiStreamer
         path::QueryBits live;
 
         /**
-         * Type summary for the G1 typed scan: every interest below
-         * this node is an object attribute / an array element.
-         * Computed once at compile time; sharedFilter() ANDs these
-         * across the candidate children of an active set.
+         * The Needs bits of this node's interests.  Computed once at
+         * compile time; sharedFilter() uses the G1 typed scan when
+         * every candidate child needs only objects (or only arrays).
          */
-        bool obj_only = false;
-        bool ary_only = false;
+        uint8_t needs = 0;
     };
 
     void build();

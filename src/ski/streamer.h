@@ -5,8 +5,12 @@
  *
  * The streamer walks the input with a Skipper, descending recursively
  * only along the query's match path; everything irrelevant is
- * fast-forwarded.  Recursion depth is therefore bounded by the query
- * length, not by the data's nesting depth.
+ * fast-forwarded.  Queries of key, index, slice and wildcard steps run
+ * the linear driver, whose recursion depth is bounded by the query
+ * length.  A query with a filter or `..` step runs NfaDriver on the
+ * same loops over a set of automaton states (DESIGN.md §13); under a
+ * `..` search it follows the data's nesting, up to a typed
+ * DepthExceeded limit.
  */
 #ifndef JSONSKI_SKI_STREAMER_H
 #define JSONSKI_SKI_STREAMER_H
@@ -146,7 +150,9 @@ class Streamer
      * ParseError(ErrorCode::IndexMismatch), never as wrong output.
      *
      * JSONSKI_TEST_CHUNK_BYTES reroutes this overload through the
-     * chunked variant exactly as it does for run().
+     * chunked variant exactly as it does for run(); the bytes stay
+     * resident, so a defensive IndexMismatch before any match reached
+     * the sink still replays plain, as here.
      */
     StreamResult runIndexed(std::string_view json,
                             const index::StructuralIndex& idx,

@@ -127,6 +127,35 @@ TEST(Descendant, InteriorDuplicateKeysFirstBindingWins)
     EXPECT_EQ(dom_sink.values, (std::vector<std::string>{"1"}));
 }
 
+TEST(Descendant, RepeatedNamesUnderDescendantBindUsableMember)
+{
+    // Under `..`, a key step after the search binds the first member
+    // with its name whose value the next step can use — as solo plain
+    // queries do, with or without the G1 type filter, and as the DOM
+    // oracle does.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        docs = {
+            {R"({"x": {"a": 1, "a": {"b": 2}, "c": 3}})", {"2"}},
+            {R"({"x": {"a": {"b": 1}, "a": {"b": 2}, "c": 3}})", {"1"}},
+            {R"([{"x": {"a": 1, "a": {"b": 2}}},)"
+             R"( {"x": {"a": [], "a": {"b": 3}}}])",
+             {"2", "3"}},
+        };
+    for (const auto& [json, want] : docs) {
+        auto q = parse("$..x.a.b");
+        for (bool type_filter : {false, true}) {
+            ski::StreamerOptions opt;
+            opt.type_filter = type_filter;
+            path::CollectSink sink;
+            ski::Streamer(q, opt).run(json, &sink);
+            EXPECT_EQ(sink.values, want) << json << " tf=" << type_filter;
+        }
+        path::CollectSink dom_sink;
+        dom::parseAndQuery(json, q, &dom_sink);
+        EXPECT_EQ(dom_sink.values, want) << json;
+    }
+}
+
 TEST(Descendant, InteriorRejectedByLinearBaselines)
 {
     // The path-at-a-time tape walk and the deterministic PDA cannot
@@ -353,4 +382,22 @@ TEST(Descendant, StatsStillAccumulate)
     auto r = ski::query(json, "$..k");
     EXPECT_EQ(r.count, 2u);
     EXPECT_GT(r.stats.get(ski::Group::G1), 500u);
+}
+
+TEST(Descendant, InteriorSearchBatchesPrimitiveRunsAsG1)
+{
+    // An interior `..` step searches with the same engine: when every
+    // live state is a search, the array's primitive run is batch-
+    // skipped and charged to G1, exactly as for the terminal `$..k`.
+    std::string json = "{\"rows\": [";
+    for (int i = 0; i < 500; ++i)
+        json += std::to_string(i) + ",";
+    json += R"({"k": 1}], "k": 2})";
+    auto terminal = ski::query(json, "$..k");
+    auto interior = ski::query(json, "$..rows..k");
+    EXPECT_EQ(interior.count, 1u);
+    EXPECT_GT(interior.stats.get(ski::Group::G1), 500u);
+    // The run is the same 500 elements either way.
+    EXPECT_GE(interior.stats.get(ski::Group::G1),
+              terminal.stats.get(ski::Group::G1));
 }

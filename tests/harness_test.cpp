@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
+
+#include <unistd.h>
 
 #include "harness/report.h"
 #include "json/validate.h"
@@ -141,6 +146,23 @@ TEST(Report, EmitsValidJson)
     EXPECT_NE(out.find("\"gbps\""), std::string::npos);
     EXPECT_NE(out.find("\"median_seconds\""), std::string::npos);
     EXPECT_NE(out.find("quoted \\\"value\\\""), std::string::npos);
+}
+
+TEST(Report, WriteCreatesAMissingJsonDir)
+{
+    namespace fs = std::filesystem;
+    fs::path root = fs::path(::testing::TempDir()) /
+                    ("jsonski_report_" + std::to_string(::getpid()));
+    fs::path dir = root / "nested" / "missing";
+    fs::remove_all(root);
+    ASSERT_EQ(::setenv("JSONSKI_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+    BenchReport report("unit_test_dir", "missing output directory");
+    report.beginRow("Q1", "JSONSki");
+    bool ok = report.write();
+    ::unsetenv("JSONSKI_BENCH_JSON_DIR");
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(fs::exists(dir / "BENCH_unit_test_dir.json"));
+    fs::remove_all(root);
 }
 
 TEST(Report, FfStatsSectionMatchesAccounting)

@@ -268,6 +268,43 @@ TEST(QuerySetDifferential, MalformedDocsAgreeOnErrorDetail)
             checkSet(b.doc, b.set, chunk, "malformed");
 }
 
+TEST(QuerySetDifferential, RepeatedMemberNamesBindLikeSoloRuns)
+{
+    // Each query of a set binds the member its solo run binds: the
+    // first with its name whose value the next step can use.  A
+    // repeated name must neither end the object before a sibling's
+    // member is seen nor bind a step twice.
+    const std::string d1 = R"({"a": 1, "a": {"b": 2}, "c": 3})";
+    const std::string d2 = R"({"a": {"b": 1}, "a": {"b": 2}, "c": 3})";
+    const std::vector<NamedSet> sets = {
+        {"key+sibling", {"$.a.b", "$.c"}},
+        {"value+child", {"$.a", "$.a.b"}},
+        {"all", {"$.a", "$.a.b", "$.c"}},
+    };
+    const std::vector<std::pair<std::string, NamedSet>> nested = {
+        {"[" + d1 + "]", {"array", {"$[*].a.b", "$[*].c", "$[0].a"}}},
+        {"[" + d2 + "]", {"array", {"$[*].a.b", "$[*].c", "$[0].a"}}},
+        {R"([{"k": 1, "a": 1, "a": {"b": 2}, "c": 3}])",
+         {"filter", {"$[?(@.k)].a.b", "$[*].c"}}},
+        {R"({"x": )" + d1 + "}", {"descendant", {"$..x.a.b", "$.x.c"}}},
+        {R"({"x": )" + d2 + "}", {"descendant", {"$..x.a.b", "$.x.c"}}},
+        {R"({"a": 1, "a": [{"k": 1}], "c": 3})",
+         {"filter suffix", {"$.a", "$.a[?(@.k)]", "$.c"}}},
+    };
+    for (size_t chunk : kChunks) {
+        for (const NamedSet& set : sets) {
+            checkSet(d1, set.texts, chunk, set.name);
+            checkSet(d2, set.texts, chunk, set.name);
+        }
+        for (const auto& [doc, set] : nested)
+            checkSet(doc, set.texts, chunk, set.name);
+    }
+    // The solo runs themselves: {`$.a`, `$.a.b`} answer 1 and 1.
+    ski::MultiStreamer ms(path::QuerySet::fromTexts({"$.a", "$.a.b"}));
+    auto r = ms.run(R"({"a": 1, "a": {"b": 2}})");
+    EXPECT_EQ(r.matches, (std::vector<size_t>{1, 1}));
+}
+
 TEST(QuerySetDifferential, SharedPrefixesCompileToSharedTrieNodes)
 {
     // Four queries under $.user share the root and the `user` node:
