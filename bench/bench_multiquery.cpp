@@ -2,7 +2,7 @@
  * @file
  * Multi-query batching sweep: one combined pass vs N sequential
  * single-query passes at N in {1, 10, 100, 1000}, for shared-prefix
- * and disjoint query-set shapes (ROADMAP item 1; "earliest query
+ * and disjoint query-set shapes (DESIGN.md §15; "earliest query
  * answering over streamed trees" is the theory reference).  The
  * headline number is the speedup at 1000 shared-prefix queries — the
  * standing-query fan-out workload where the sequential baseline pays

@@ -154,13 +154,12 @@ class PrintSink : public ski::MultiSink
 /**
  * -s report: whole-run fast-forward ratios over the bytes read (with
  * -r, the whole stream and its record count), how the input came in
- * (chunked ingestion), then for query lists the shared-trie shape and
- * each distinct query's divergent-suffix replay work (zero for queries
- * fully resident in the trie).
+ * (chunked ingestion), then for query lists the size of the compiled
+ * automaton.
  */
 void
 printStats(const service::Plan& plan, const service::RunResult& r,
-           const std::vector<size_t>& tags, bool records)
+           bool records)
 {
     size_t n = r.input_bytes;
     std::fprintf(stderr, "fast-forwarded %.2f%% of %zu bytes (G1..G5:",
@@ -179,19 +178,8 @@ printStats(const service::Plan& plan, const service::RunResult& r,
                  r.ingest.window_peak);
     if (!plan.multi)
         return;
-    std::fprintf(stderr,
-                 "%zu distinct queries over %zu trie nodes, %zu "
-                 "divergent suffixes\n",
-                 plan.multi->queryCount(), plan.multi->trieNodes(),
-                 plan.multi->suffixCount());
-    for (size_t qi = 0; qi < r.per_query.size(); ++qi) {
-        uint64_t replay = r.per_query[qi].total();
-        if (replay != 0)
-            std::fprintf(stderr,
-                         "  q%zu suffix replay fast-forwarded %llu "
-                         "bytes\n",
-                         tags[qi], static_cast<unsigned long long>(replay));
-    }
+    std::fprintf(stderr, "%zu distinct queries over %zu automaton states\n",
+                 plan.multi->queryCount(), plan.multi->trieNodes());
 }
 
 } // namespace
@@ -237,7 +225,7 @@ main(int argc, char** argv)
                             counts[i]);
         }
         if (opt.stats)
-            printStats(*plan, r, map.tag, opt.records);
+            printStats(*plan, r, opt.records);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "jsq: %s\n", e.what());
         return 1;

@@ -91,6 +91,30 @@ for q in "$@"; do
 done
 echo "3-query batch per-query counts match solo requests"
 
+# A mixed batch: a plain, a filter and a descendant query walk the body
+# together.  Each per-query count must equal a solo request's, and each
+# query's values must equal jsq's for the same list.
+set -- '$.products[*].name' '$.products[?(@.id>1)].name' '$..id'
+"$JSQC" -p "$port" -c "$1,$2,$3" "$tmp/doc1.json" >"$tmp/batch"
+"$JSQ" "$1,$2,$3" "$tmp/doc1.json" >"$tmp/expected"
+"$JSQC" -p "$port" "$1,$2,$3" "$tmp/doc1.json" >"$tmp/got"
+i=0
+for q in "$@"; do
+    solo=$("$JSQC" -p "$port" -c "$q" "$tmp/doc1.json")
+    batch=$(awk -v n="q$i" '$1 == n {print $NF}' "$tmp/batch")
+    [ "$solo" = "$batch" ] || {
+        echo "mixed batch count mismatch for $q: solo=$solo batch=$batch" >&2
+        exit 1; }
+    diff -u <(grep -F "[q$i] " "$tmp/expected") \
+        <(grep -F "[q$i] " "$tmp/got") || {
+        echo "mixed batch values differ from jsq for $q" >&2; exit 1; }
+    i=$((i + 1))
+done
+[ "$(wc -l <"$tmp/got")" -eq 5 ] || {
+    echo "mixed batch: expected 5 values, got $(wc -l <"$tmp/got")" >&2
+    exit 1; }
+echo "mixed batch (plain, filter, descendant) matches solo requests and jsq"
+
 # --- protocol edges -------------------------------------------------
 # Length-framed body written 7 bytes at a time.
 "$JSQC" -p "$port" --length --chunk 7 '$.total' "$tmp/doc1.json" \

@@ -1,20 +1,25 @@
 /**
  * @file
- * Query automaton compiled from a path expression (paper Figure 5).
+ * Query automata compiled from path expressions (paper Figure 5).
  *
  * A path with n steps yields states 0..n: state i means "the first i
  * steps have been matched on the path from the root to the current
- * value".  State n is ACCEPT.  A failed transition yields the special
- * UNMATCHED state.  The per-level stack the paper describes is owned by
- * the *caller*: the recursive-descent streamer keeps it implicitly in
- * its call stack, while the JPStream-style baseline keeps an explicit
- * query stack — both drive their transitions through this class so all
- * engines share one matching semantics.
+ * value".  State n is ACCEPT.  Three forms share that numbering:
+ *  - QueryAutomaton, the deterministic automaton of one plain query,
+ *    whose per-level stack the JPStream-style baseline keeps;
+ *  - NfaSet and the nfa* transitions, the multiset semantics of one
+ *    query with filter and descendant steps, which the DOM oracle
+ *    walks (DESIGN.md §13);
+ *  - QueryNfa, a query set compiled into one automaton, which the
+ *    streaming engine runs for every query and every set (§15).
  */
 #ifndef JSONSKI_PATH_AUTOMATON_H
 #define JSONSKI_PATH_AUTOMATON_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -138,7 +143,10 @@ class QueryAutomaton
  */
 struct NfaSet
 {
-    std::vector<std::pair<size_t, uint64_t>> states;
+    /** A state and the number of paths that reach it. */
+    using Entry = std::pair<size_t, uint64_t>;
+
+    std::vector<Entry> states;
 
     bool empty() const { return states.empty(); }
 
@@ -160,6 +168,36 @@ struct NfaSet
             else
                 break;
         }
+    }
+
+    /**
+     * Add every state of the ascending list @p next with @p count paths,
+     * in one merge: O(size() + next.size()), however long the list.
+     */
+    void
+    merge(const std::vector<size_t>& next, uint64_t count)
+    {
+        if (states.empty()) {
+            for (size_t s : next)
+                states.emplace_back(s, count);
+            return;
+        }
+        size_t i = states.size();
+        size_t j = next.size();
+        states.resize(i + j);
+        size_t out = states.size();
+        while (j > 0) {
+            if (i > 0 && states[i - 1].first > next[j - 1]) {
+                states[--out] = states[--i];
+            } else if (i > 0 && states[i - 1].first == next[j - 1]) {
+                states[--out] = {next[--j], states[--i].second + count};
+            } else {
+                states[--out] = {next[--j], count};
+            }
+        }
+        // [0, i) is in place; a shared state left a gap of out - i.
+        states.erase(states.begin() + static_cast<std::ptrdiff_t>(i),
+                     states.begin() + static_cast<std::ptrdiff_t>(out));
     }
 
     /** Accepting-path multiplicity (state == q.size()). */
@@ -287,6 +325,121 @@ nfaWantsArray(const PathQuery& q, const NfaSet& set)
     }
     return false;
 }
+
+/**
+ * A query set compiled into one automaton, the streaming engine's form
+ * of every query: a lone query is a set of one (DESIGN.md §15).
+ *
+ * States are the steps of a trie over the queries, so queries share a
+ * state while their prefixes agree.  A key state is also split by what
+ * its successors need (nfaNeeds), so each keeps the key-binding rule
+ * with one consumed flag: `$.a` and `$.a.b` get two `a` states, while
+ * `$..a` and `$..a.b` share `..a`.  Every query has its own ACCEPT
+ * state, numbered after all step states in query order, so a sorted
+ * NfaSet lists its accepting states last, in plan order.  A lone query
+ * of n steps compiles to the chain 0..n, where state n accepts.
+ */
+class QueryNfa
+{
+  public:
+    static constexpr size_t kNone = SIZE_MAX;
+
+    struct State
+    {
+        /**
+         * First byte every successor needs ('{' before a key step, '['
+         * before an array or filter step), or 0 when they differ or take
+         * any value: a key state's binding rule, an array state's G1
+         * element type.
+         */
+        char need = 0;
+
+        /** The one successor when it is a plain step, else kNone. */
+        size_t single = kNone;
+
+        std::vector<size_t> next; ///< successors, ascending
+        PathStep step;            ///< the step it matches (none at ACCEPT)
+    };
+
+    /**
+     * What a member loop compares of a state, in one contiguous table:
+     * the name's length and first 8 bytes, zero-padded.  Scanning the
+     * key states of a large set then reads 16 bytes a state.
+     */
+    struct Name
+    {
+        uint64_t head = 0;
+        uint32_t len = 0;
+        PathStep::Kind kind = PathStep::Kind::Key;
+        char need = 0;
+    };
+
+    /** A name's first 8 bytes, zero-padded (Name::head). */
+    static uint64_t
+    head(std::string_view name)
+    {
+        uint64_t h = 0;
+        std::memcpy(&h, name.data(), std::min(name.size(), sizeof h));
+        return h;
+    }
+
+    /** Compile @p queries; query i reports as id i. */
+    explicit QueryNfa(const std::vector<PathQuery>& queries);
+
+    size_t size() const { return states_.size(); }
+
+    const State& operator[](size_t s) const { return states_[s]; }
+
+    /** The Name of step state @p s. */
+    const Name& name(size_t s) const { return names_[s]; }
+
+    /** The states a top-level value starts in, ascending. */
+    const std::vector<size_t>& start() const { return start_; }
+
+    size_t queryCount() const { return states_.size() - accept_; }
+
+    bool isAccept(size_t s) const { return s >= accept_; }
+
+    /** The distinct query ACCEPT state @p s reports. */
+    size_t queryOf(size_t s) const { return s - accept_; }
+
+    /** Entries of @p set before its accepting states. */
+    size_t
+    live(const NfaSet& set) const
+    {
+        size_t n = set.states.size();
+        while (n > 0 && isAccept(set.states[n - 1].first))
+            --n;
+        return n;
+    }
+
+    /** Can entering an object make progress from @p set? */
+    bool wantsObject(const NfaSet& set) const;
+
+    /** Can entering an array make progress from @p set? */
+    bool wantsArray(const NfaSet& set) const;
+
+    /**
+     * [Key] transition of @p in into @p out for a member named @p key
+     * whose value starts with @p first — nfaOnKey over the compiled
+     * states, with @p consumed parallel to the live entries of @p in.
+     * A primitive value keeps no search: nothing can search it.
+     */
+    void onKey(const NfaSet& in, std::string_view key, char first,
+               std::vector<char>& consumed, NfaSet& out) const;
+
+    /**
+     * Array-element transition of @p in into @p out for position
+     * @p idx.  Filter states are left to the caller's probe.
+     */
+    void onElement(const NfaSet& in, size_t idx, NfaSet& out) const;
+
+  private:
+    std::vector<State> states_;
+    std::vector<Name> names_; ///< per step state
+    std::vector<size_t> start_;
+    size_t accept_ = 0; ///< the first ACCEPT state
+};
 
 } // namespace jsonski::path
 

@@ -6,9 +6,8 @@
  * A client hands the engine a *list* of JSONPath texts; the engine
  * wants a *set*: each query in its canonical `PathQuery::toString()`
  * form, duplicates collapsed, and a stable small-integer id per
- * distinct query so trie nodes can carry per-level bitsets of the
- * queries still live below them.  QuerySet performs that normalization
- * once and keeps the evidence:
+ * distinct query, which its ACCEPT state reports under.  QuerySet
+ * performs that normalization once and keeps the evidence:
  *
  *   - `distinct` / `canonical`: the deduplicated queries in
  *     first-occurrence order (so duplicate-free inputs keep their
@@ -19,15 +18,11 @@
  *   - `key()`: the *order-insensitive* canonical form (sorted unique
  *     canonical texts, comma-joined) — the plan-cache key, so
  *     `{$.a,$.b}` and `{$.b,$.a,$.a}` share one compiled plan.
- *
- * QueryBits is the bitset the multi-query trie stores per level: one
- * bit per distinct query id.
  */
 #ifndef JSONSKI_PATH_QUERYSET_H
 #define JSONSKI_PATH_QUERYSET_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,78 +30,6 @@
 #include "path/ast.h"
 
 namespace jsonski::path {
-
-/** Fixed-width bitset over the distinct query ids of one QuerySet. */
-class QueryBits
-{
-  public:
-    QueryBits() = default;
-
-    /** All-clear bitset able to hold ids [0, bits). */
-    explicit QueryBits(size_t bits) : words_((bits + 63) / 64, 0) {}
-
-    void
-    clear()
-    {
-        for (uint64_t& w : words_)
-            w = 0;
-    }
-
-    void set(size_t i) { words_[i >> 6] |= uint64_t{1} << (i & 63); }
-
-    bool
-    test(size_t i) const
-    {
-        return (words_[i >> 6] >> (i & 63)) & 1;
-    }
-
-    bool
-    any() const
-    {
-        for (uint64_t w : words_) {
-            if (w != 0)
-                return true;
-        }
-        return false;
-    }
-
-    /** Number of set bits. */
-    size_t
-    count() const
-    {
-        size_t n = 0;
-        for (uint64_t w : words_)
-            n += static_cast<size_t>(__builtin_popcountll(w));
-        return n;
-    }
-
-    QueryBits&
-    operator|=(const QueryBits& o)
-    {
-        for (size_t i = 0; i < words_.size() && i < o.words_.size(); ++i)
-            words_[i] |= o.words_[i];
-        return *this;
-    }
-
-    /** Invoke @p fn with each set id, ascending. */
-    template <typename Fn>
-    void
-    forEach(Fn&& fn) const
-    {
-        for (size_t wi = 0; wi < words_.size(); ++wi) {
-            uint64_t w = words_[wi];
-            while (w != 0) {
-                unsigned bit =
-                    static_cast<unsigned>(__builtin_ctzll(w));
-                fn(wi * 64 + bit);
-                w &= w - 1;
-            }
-        }
-    }
-
-  private:
-    std::vector<uint64_t> words_;
-};
 
 /** See file comment. */
 struct QuerySet

@@ -9,27 +9,6 @@
 
 namespace jsonski::service {
 
-namespace {
-
-/** Puts a single-query engine behind the caller's MultiSink, as
- *  index 0. */
-class SingleSink final : public path::MatchSink
-{
-  public:
-    explicit SingleSink(ski::MultiSink& sink) : sink_(sink) {}
-
-    void
-    onMatch(std::string_view value) override
-    {
-        sink_.onMatch(0, value);
-    }
-
-  private:
-    ski::MultiSink& sink_;
-};
-
-} // namespace
-
 size_t
 RunResult::total() const
 {
@@ -60,20 +39,17 @@ Plan::run(intervals::ChunkSource& src, ski::MultiSink& sink,
         out.ingest = r.ingest;
     };
     if (single) {
-        SingleSink bridge(sink);
-        ski::StreamResult r =
-            records ? single->runRecords(src, &bridge, chunk_bytes)
-                    : single->run(src, &bridge, chunk_bytes);
+        ski::StreamResult r = records
+                                  ? single->runRecords(src, sink, chunk_bytes)
+                                  : single->run(src, sink, chunk_bytes);
         take(r);
         out.matches = {r.matches};
-        out.per_query.resize(1);
     } else {
         ski::MultiStreamer::Result r =
             records ? multi->runRecords(src, &sink, chunk_bytes)
                     : multi->run(src, &sink, chunk_bytes);
         take(r);
         out.matches = std::move(r.matches);
-        out.per_query = std::move(r.per_query);
     }
     return out;
 }

@@ -8,8 +8,8 @@
  * the single- and multi-query engines and between one document and a
  * record stream, so the two cannot drift.
  *
- * Parsing a JSONPath list and building the streamer (single-query) or
- * the multi-query trie is pure per-query-text work; under serving
+ * Parsing a JSONPath list and compiling its automaton is pure
+ * per-query-text work; under serving
  * traffic the same handful of queries arrive over and over from many
  * connections.  The cache keys on the canonical normalized query *set*
  * (split on top-level commas with the same quote-aware splitter jsq's
@@ -52,12 +52,8 @@ struct RunResult
     /** Matches delivered per *distinct* plan query. */
     std::vector<size_t> matches;
 
-    /** Whole-run totals: every record, every suffix replay. */
+    /** Whole-run totals over every record. */
     ski::FastForwardStats stats;
-
-    /** Divergent-suffix replay work per distinct query (multi plans;
-     *  see MultiStreamer::Result::per_query). */
-    std::vector<ski::FastForwardStats> per_query;
 
     /** Bytes ingested: the document, or in records mode the whole
      *  stream (separators included). */

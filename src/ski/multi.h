@@ -4,20 +4,14 @@
  * pass over the data stream (DESIGN.md §15).
  *
  * The query set is normalized (canonical forms, duplicates collapsed —
- * path/queryset.h) and the plain-step prefixes are compiled into a
- * prefix trie whose nodes carry per-level bitsets of the distinct
- * queries still live below them.  The driver walks the stream once
- * with a *set* of active trie nodes per level and fast-forwards
- * whatever no live query cares about: G2/G4/G5 skips fire only when
- * *no* live query can match below the skipped region.  The G4
- * optimization generalizes: an object is abandoned once every distinct
- * attribute name any active query could match has been seen.
- *
- * Queries with a filter or descendant step share the trie up to their
- * first such step; the divergent suffix is compiled into a per-query
- * single-query Streamer and replayed over the (held-resident) value
- * span at the divergence point, so the full query surface — filters,
- * descendants at any position — batches into the one pass.
+ * path/queryset.h) and compiled into one automaton (path::QueryNfa):
+ * queries share a state while their prefixes agree, and each has its
+ * own ACCEPT state.  The driver is the one every Streamer runs — a
+ * lone query is a set of one — so filter and `..` steps run inside
+ * the same walk, and whatever no live query cares about is
+ * fast-forwarded: G2/G4/G5 skips fire only when *no* live query can
+ * match below the skipped region, and an object is abandoned (G4) once
+ * every key state of the set has bound.
  *
  * This extends the paper's single-query framework the way JPStream's
  * multi-query support motivates; all fast-forward machinery is reused
@@ -27,13 +21,12 @@
 #define JSONSKI_SKI_MULTI_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "intervals/chunk_source.h"
 #include "intervals/cursor.h"
-#include "path/ast.h"
+#include "path/automaton.h"
 #include "path/queryset.h"
 #include "ski/stats.h"
 #include "ski/streamer.h"
@@ -79,8 +72,9 @@ class MultiStreamer
   public:
     /**
      * Normalize @p queries (canonicalize, dedup) and compile the set
-     * into one trie.  Duplicate inputs collapse: result/sink indices
-     * are *distinct* ids (querySet().id_of maps input positions).
+     * into one automaton.  Duplicate inputs collapse: result/sink
+     * indices are *distinct* ids (querySet().id_of maps input
+     * positions).
      */
     explicit MultiStreamer(std::vector<path::PathQuery> queries);
 
@@ -93,16 +87,9 @@ class MultiStreamer
         /** Match count per *distinct* query id. */
         std::vector<size_t> matches;
 
-        /** Whole-pass totals (shared walk + every suffix replay). */
+        /** Whole-pass totals: each byte is charged to one group, and a
+         *  kept filter candidate's replay once more (DESIGN.md §13). */
         FastForwardStats stats;
-
-        /**
-         * Fast-forward work attributable to one query alone: the
-         * divergent-suffix replays of query id qi.  Zero for queries
-         * answered entirely by the shared trie walk (their skips are
-         * shared and live in `stats`).
-         */
-        std::vector<FastForwardStats> per_query;
 
         /** Bytes ingested (see StreamResult::input_bytes). */
         size_t input_bytes = 0;
@@ -119,16 +106,16 @@ class MultiStreamer
 
     /**
      * Evaluate all queries over one record in a single pass.
-     * JSONSKI_TEST_CHUNK_BYTES=N reroutes through the chunked path
-     * with N-byte chunks (see Streamer::run).
+     * setWholeBufferChunkBytes() can reroute it through the chunked
+     * path (see Streamer::run).
      */
     Result run(std::string_view json, MultiSink* sink = nullptr) const;
 
     /**
      * Single-pass evaluation over a record delivered by a ChunkSource;
-     * resident memory is bounded by @p chunk_bytes plus the largest
-     * span still held — for a query whose suffix diverges at depth d,
-     * the entire value at its divergence point (DESIGN.md §15).
+     * resident memory is bounded as for Streamer::run: @p chunk_bytes
+     * plus the largest span still held for a sink or a filter verdict
+     * (DESIGN.md §9, §15).
      */
     Result run(intervals::ChunkSource& source, MultiSink* sink = nullptr,
                size_t chunk_bytes = kDefaultChunkBytes) const;
@@ -151,65 +138,12 @@ class MultiStreamer
     /** Distinct query count (== result/sink index range). */
     size_t queryCount() const { return set_.size(); }
 
-    /** Trie size; shared-prefix sets compile to fewer nodes. */
-    size_t trieNodes() const { return trie_.size(); }
-
-    /** Queries answered by divergent-suffix replay (see file cmt). */
-    size_t suffixCount() const { return suffixes_.size(); }
+    /** Automaton states; shared-prefix sets compile to fewer. */
+    size_t trieNodes() const { return nfa_.size(); }
 
   private:
-    friend class MultiDriver;
-
-    /**
-     * What a value must be to serve an interest of a trie node: a key
-     * step binds each interest separately, to the first member with
-     * its name whose value the interest can use (path::nfaNeeds).
-     */
-    enum Needs : uint8_t {
-        kAnyValue = 1,    ///< accepts, descendant-first suffixes
-        kObjectValue = 2, ///< key children
-        kArrayValue = 4,  ///< array children, filter-first suffixes
-    };
-
-    /** A query's divergent tail: replayed by a single-query engine. */
-    struct Suffix
-    {
-        size_t qi;         ///< distinct query id it reports as
-        Streamer streamer; ///< compiled `$<first filter/desc step>...`
-        uint8_t needs;     ///< kArrayValue for a filter, else kAnyValue
-    };
-
-    /** One trie node; an edge per distinct next plain step. */
-    struct Node
-    {
-        /** Child per distinct attribute name. */
-        std::vector<std::pair<std::string, int>> key_children;
-
-        /** Child per distinct array step (ranges may overlap). */
-        std::vector<std::pair<path::PathStep, int>> array_children;
-
-        /** Distinct query ids accepted at this node (value = match). */
-        std::vector<size_t> accepts;
-
-        /** Indices into suffixes_ replayed over this node's value. */
-        std::vector<size_t> suffixes;
-
-        /** Per-level live bitset: ids whose path traverses this node. */
-        path::QueryBits live;
-
-        /**
-         * The Needs bits of this node's interests.  Computed once at
-         * compile time; sharedFilter() uses the G1 typed scan when
-         * every candidate child needs only objects (or only arrays).
-         */
-        uint8_t needs = 0;
-    };
-
-    void build();
-
     path::QuerySet set_;
-    std::vector<Node> trie_;
-    std::vector<Suffix> suffixes_;
+    path::QueryNfa nfa_;
 };
 
 } // namespace jsonski::ski

@@ -1,16 +1,17 @@
 /**
  * @file
- * The two streaming drivers behind Streamer: the linear Driver runs
- * the paper's Algorithm 2 over key, index, slice and wildcard steps
- * with one automaton state per level, and NfaDriver runs every query
- * with a filter or descendant step over a set of states (DESIGN.md
- * §13).  pass() picks one per run.
+ * The streaming driver behind Streamer and MultiStreamer: NfaDriver
+ * runs a compiled query set (path::QueryNfa; a lone query is a set of
+ * one) over the paper's Algorithm 2 loops, and pass() runs it once per
+ * input (DESIGN.md §13, §15).
  */
 #include "ski/streamer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "index/structural_index.h"
@@ -18,7 +19,7 @@
 #include "json/text.h"
 #include "path/filter.h"
 #include "path/parser.h"
-#include "ski/chunk_override.h"
+#include "ski/multi.h"
 #include "ski/records.h"
 #include "ski/sinks.h"
 #include "util/error.h"
@@ -28,8 +29,10 @@ namespace {
 
 using intervals::StreamCursor;
 using path::NfaSet;
-using path::PathQuery;
 using path::PathStep;
+using path::QueryNfa;
+
+std::atomic<size_t> g_whole_buffer_chunk_bytes{0};
 
 /**
  * Container-depth bookkeeping: one unclosed opener consumed per scope.
@@ -50,20 +53,21 @@ class DepthScope
 };
 
 /**
- * What both drivers share: one pass's cursor, skipper and result, and
- * the paper's Algorithm 2 loops over key, index, slice and wildcard
- * steps (PathStep::isPlain).  A loop hands each value its step selects
- * to Host::child(state, n) with the cursor on the value's first byte;
- * n is the NFA path count the linear driver keeps at 1.
+ * One pass's cursor, skipper and result, and the paper's Algorithm 2
+ * loops over one key, index, slice or wildcard state
+ * (PathStep::isPlain).  A loop descends straight into a state's one
+ * plain successor, and hands every other value its state selects to
+ * Host::child(state, n) with the cursor on the value's first byte; n
+ * is the number of automaton paths that reach the state.
  */
 template <class Host>
 class PlainSteps
 {
   public:
-    PlainSteps(const PathQuery& query, const StreamerOptions& options,
-               std::string_view json, MatchSink* sink,
-               StreamResult& result)
-        : q_(query),
+    PlainSteps(const QueryNfa& nfa, const StreamerOptions& options,
+               std::string_view json, MultiSink* sink,
+               MultiStreamer::Result& result)
+        : nfa_(nfa),
           options_(options),
           cur_(json, options.scalar_classifier),
           skip_(cur_, &result.stats),
@@ -73,10 +77,10 @@ class PlainSteps
         skip_.setBatchPrimitives(options.batch_primitives);
     }
 
-    PlainSteps(const PathQuery& query, const StreamerOptions& options,
+    PlainSteps(const QueryNfa& nfa, const StreamerOptions& options,
                intervals::ChunkSource& source, size_t chunk_bytes,
-               MatchSink* sink, StreamResult& result)
-        : q_(query),
+               MultiSink* sink, MultiStreamer::Result& result)
+        : nfa_(nfa),
           options_(options),
           cur_(source, chunk_bytes, options.scalar_classifier),
           skip_(cur_, &result.stats),
@@ -124,33 +128,27 @@ class PlainSteps
     Host& host() { return static_cast<Host&>(*this); }
 
     /**
-     * The value at the cursor for state @p state, which needs @p want
-     * ('{' or '[', and the value starts with it) when that is a plain
-     * step; every other state goes to the host.
+     * The value at the cursor, selected by state @p state: its one
+     * plain successor @p single (QueryNfa::State::single) is entered
+     * here — the value starts with @p want — and every other
+     * successor set goes to the host.
      */
     void
-    next(size_t state, char want, bool plain, uint64_t n)
+    next(size_t state, size_t single, char want, uint64_t n)
     {
-        if (!plain) {
+        if (single == QueryNfa::kNone) {
             host().child(state, n);
             return;
         }
         cur_.advance(1); // consume '{' or '['
         if (want == '{')
-            runObject(state, n);
+            runObject(single, n);
         else
-            runArray(state, n);
-    }
-
-    /** True when state @p state is a plain step (not ACCEPT). */
-    bool
-    plainAt(size_t state) const
-    {
-        return state < q_.size() && q_[state].isPlain();
+            runArray(single, n);
     }
 
     /**
-     * Process an object whose attributes are matched against key step
+     * Process an object whose attributes are matched against key state
      * @p state.  Entry: position just past '{'.  Exit: position just
      * past the matching '}'.
      *
@@ -162,18 +160,15 @@ class PlainSteps
     runObject(size_t state, uint64_t n)
     {
         DepthScope depth(depth_);
-        const PathStep& st = q_[state];
-        char want = path::nfaNeeds(q_, state + 1);
-        bool plain = plainAt(state + 1);
-        Skipper::TypeFilter filter =
-            want == 0 || !options_.type_filter ? Skipper::TypeFilter::Any
-            : want == '['                      ? Skipper::TypeFilter::Array
-                                               : Skipper::TypeFilter::Object;
+        const QueryNfa::State& st = nfa_[state];
+        char want = st.need;
+        size_t single = st.single;
+        Skipper::TypeFilter filter = typeFilter(want);
         for (;;) {
             Skipper::AttrResult attr = skip_.toAttr(filter, Group::G1);
             if (!attr.found)
                 return; // object consumed; includes G4-less exhaustion
-            if (cur_.slice(attr.key_begin, attr.key_end) != st.key ||
+            if (cur_.slice(attr.key_begin, attr.key_end) != st.step.key ||
                 (want != 0 && cur_.current() != want)) {
                 // G2: another name, or (reachable only with the G1
                 // filter off) a value the next step cannot use — the
@@ -182,7 +177,7 @@ class PlainSteps
                 skip_.overValue(Group::G2);
                 continue;
             }
-            next(state + 1, want, plain, n);
+            next(state, single, want, n);
             // G4: the step has bound — nothing else in this object can
             // match; fast-forward past its '}'.
             skip_.toObjEnd(Group::G4);
@@ -192,16 +187,16 @@ class PlainSteps
 
     /**
      * Process an array whose elements are matched against index,
-     * slice or wildcard step @p state.  Entry: position just past '['.
-     * Exit: just past ']'.
+     * slice or wildcard state @p state.  Entry: position just past
+     * '['.  Exit: just past ']'.
      */
     [[gnu::noinline]] void
     runArray(size_t state, uint64_t n)
     {
         DepthScope depth(depth_);
-        const PathStep& st = q_[state];
-        char want = path::nfaNeeds(q_, state + 1);
-        bool plain = plainAt(state + 1);
+        const PathStep& st = nfa_[state].step;
+        char want = nfa_[state].need;
+        size_t single = nfa_[state].single;
         size_t idx = 0;
         char c = cur_.skipWhitespace();
         if (c == ']') {
@@ -232,16 +227,26 @@ class PlainSteps
                     return;
                 if (idx >= st.hi)
                     continue; // budget reached; loop skips out
-                next(state + 1, want, plain, n);
+                next(state, single, want, n);
             } else if (want != 0 && c != want) {
                 skip_.overValue(Group::G2);
             } else {
-                next(state + 1, want, plain, n); // G3 when it accepts
+                next(state, single, want, n); // G3 when it accepts
             }
             if (!moreElements())
                 return;
             ++idx;
         }
+    }
+
+    /** The G1 attribute scan for members whose value must start with
+     *  @p want (0: any value). */
+    Skipper::TypeFilter
+    typeFilter(char want) const
+    {
+        return want == 0 || !options_.type_filter ? Skipper::TypeFilter::Any
+               : want == '['                      ? Skipper::TypeFilter::Array
+                                                  : Skipper::TypeFilter::Object;
     }
 
     /** After an element: true past a ',', false past the array's ']'. */
@@ -266,101 +271,48 @@ class PlainSteps
         return end;
     }
 
-    const PathQuery& q_;
+    const QueryNfa& nfa_;
     const StreamerOptions& options_;
     StreamCursor cur_;
     Skipper skip_;
-    MatchSink* sink_;
-    StreamResult& result_;
+    MultiSink* sink_;
+    MultiStreamer::Result& result_;
     /** Containers entered and not yet closed (index level source). */
     int depth_ = 0;
 };
 
 /**
- * One streaming pass over a single record for a query made of key,
- * index, slice and wildcard steps only: the paper's Algorithm 2, one
- * automaton state per level, kept implicitly in the call stack.
- */
-class Driver : public PlainSteps<Driver>
-{
-  public:
-    using PlainSteps::PlainSteps;
-
-  private:
-    friend class PlainSteps<Driver>;
-
-    /** Evaluate the query over the top-level value at the cursor. */
-    void
-    root()
-    {
-        if (q_.empty()) {
-            emitValue(); // `$` selects the whole record
-            return;
-        }
-        // Root type mismatch: no match possible, and nothing is read.
-        char want = q_[0].isArrayStep() ? '[' : '{';
-        if (cur_.current() == want)
-            next(0, want, true, 1);
-    }
-
-    /** Only ACCEPT reaches here: every other state is a plain step. */
-    void child(size_t, uint64_t) { emitValue(); }
-
-    /** ACCEPT: fast-forward over the value and report it (G3). */
-    void
-    emitValue()
-    {
-        size_t start = cur_.pos();
-        // The whole value span must stay resident until it is handed
-        // to the sink, however many chunk seams it crosses.
-        size_t saved = cur_.hold();
-        cur_.setHold(std::min(saved, start));
-        skip_.overValue(Group::G3);
-        size_t end = trimmedEnd(start);
-        ++result_.matches;
-        if (sink_)
-            sink_->onMatch(cur_.slice(start, end));
-        cur_.setHold(saved);
-    }
-};
-
-/**
- * Streaming pass for every query with a filter or descendant step
- * (DESIGN.md §13).  Carries a multiset of NFA states (path::NfaSet)
- * down the recursion instead of the linear driver's single step index:
- * a descendant step keeps its search state co-resident with every
+ * The streaming pass for every query and every query set (DESIGN.md
+ * §13, §15).  Carries a multiset of automaton states (path::NfaSet)
+ * down the recursion: a descendant state stays co-resident with every
  * continuation it spawns, so `$..a[2].b` and `$..a[?(@.b)]..c`
- * traverse the document once.  Values are emitted once per accepting
- * path, in pre-order, through pending slots patched once their end is
- * known.
+ * traverse the document once, and the queries of a set walk it
+ * together.  Each ACCEPT reports under its query id, once per
+ * accepting path, in pre-order, through pending slots patched once
+ * their end is known.
  *
  * Fast-forwarding follows the live states of each container:
- *  - one plain state (every set is one state until a `..` search
- *    forks it): the linear driver's loops, with their G1 type scans,
- *    G4 and G5;
+ *  - one plain state (a lone plain query, or a set's state once the
+ *    others have died): the Algorithm 2 loops, with their G1 type
+ *    scans, G4 and G5;
+ *  - key states only: the same loop over several names — one G1 typed
+ *    scan when they need the same container, G4 once all have bound;
+ *  - index, slice and wildcard states only: the union of their ranges,
+ *    with G5 below, between and above them;
  *  - `..` searches only: primitive elements batch-skip to the next
  *    container (G1), members no search names keep the set as it is,
  *    and a matched primitive is reported directly (G3);
- *  - filters only: toTypedElem('{') reaches each candidate (G1), whose
- *    predicate fields are probed in one scan, and the rest is
- *    fast-forwarded — G3 when a state survives, G2 when none does.
- *    Survivors replay the held candidate span with a nested driver;
+ *  - a lone filter: toTypedElem('{') reaches each candidate (G1),
+ *    whose predicate field is probed, and the rest is fast-forwarded —
+ *    G3 when a state survives, G2 when none does.  Survivors with
+ *    further steps replay the held candidate span with a nested
+ *    driver;
  *  - anything else examines every member and element.
  */
 class NfaDriver : public PlainSteps<NfaDriver>
 {
   public:
-    NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              std::string_view json, MatchSink* sink,
-              StreamResult& result)
-        : PlainSteps(query, options, json, sink, result)
-    {}
-
-    NfaDriver(const PathQuery& query, const StreamerOptions& options,
-              intervals::ChunkSource& source, size_t chunk_bytes,
-              MatchSink* sink, StreamResult& result)
-        : PlainSteps(query, options, source, chunk_bytes, sink, result)
-    {}
+    using PlainSteps::PlainSteps;
 
   private:
     friend class PlainSteps<NfaDriver>;
@@ -373,6 +325,13 @@ class NfaDriver : public PlainSteps<NfaDriver>
         size_t field; ///< index into Frame::fields
     };
 
+    /** A key state live at an object and not yet bound. */
+    struct KeyProbe
+    {
+        QueryNfa::Name name;
+        size_t entry; ///< its index in the object's set
+    };
+
     /**
      * Per-depth scratch, reused by every container at that depth, so
      * no state set, consumed mask or filter list is allocated per
@@ -383,18 +342,25 @@ class NfaDriver : public PlainSteps<NfaDriver>
         NfaSet next;   ///< the set the current member/element starts in
         NfaSet search; ///< the `..` states of a mixed set (searches)
         std::vector<char> consumed; ///< Key states bound in this object
+        std::vector<KeyProbe> keys;  ///< this object's key states
         std::vector<Filter> filters; ///< this array's filter states
         std::vector<const std::string*> fields; ///< distinct, probed
         std::vector<char> found; ///< fields the candidate has shown
     };
 
+    /** A match of @p query over [start, end) in top-level positions;
+     *  end == kInFlight while the value is still being read. */
+    struct Slot
+    {
+        size_t start;
+        size_t end;
+        size_t query;
+    };
+
     /** State a pass and its candidate replays share. */
     struct Scratch
     {
-        /** Match slots in document pre-order; end == kInFlight while
-         *  the value is still being read.  Positions are the
-         *  top-level pass's. */
-        std::vector<std::pair<size_t, size_t>> pending;
+        std::vector<Slot> pending; ///< in document pre-order
         std::vector<std::unique_ptr<Frame>> frames; ///< by depth
     };
 
@@ -405,7 +371,7 @@ class NfaDriver : public PlainSteps<NfaDriver>
      * the outer pass delivers its matches once the replay returns.
      */
     NfaDriver(NfaDriver& outer, std::string_view span, size_t outer_pos)
-        : PlainSteps(outer.q_, outer.options_, span, nullptr,
+        : PlainSteps(outer.nfa_, outer.options_, span, nullptr,
                      outer.result_),
           scratch_(outer.scratch_),
           offset_(outer.offset_ + outer_pos),
@@ -414,57 +380,93 @@ class NfaDriver : public PlainSteps<NfaDriver>
         depth_ = outer.depth_;
     }
 
+    /** Evaluate the query set over the top-level value at the cursor. */
     void
     root()
     {
-        static const NfaSet kStart{{{0, 1}}};
-        root(kStart);
+        size_t s = nfa_.start().front();
+        if (nfa_.start().size() == 1 && !nfa_.isAccept(s) &&
+            nfa_[s].step.isPlain()) {
+            // A lone plain query: Algorithm 2's root.  A value of the
+            // other container type cannot match and is not read.
+            char want = nfa_[s].step.isArrayStep() ? '[' : '{';
+            if (cur_.current() == want) {
+                cur_.advance(1);
+                if (want == '{')
+                    runObject(s, 1);
+                else
+                    runArray(s, 1);
+            }
+            return;
+        }
+        if (start_.empty())
+            start_.merge(nfa_.start(), 1);
+        root(start_);
     }
 
     /**
      * Evaluate from state set @p a over the value at the cursor.  A
      * value the set can neither enter nor accept is not read at all —
-     * the scan is a prefix read, not a validator, as in the linear
-     * driver and MultiStreamer.
+     * the scan is a prefix read, not a validator.
      */
     void
     root(const NfaSet& a)
     {
         char c = cur_.skipWhitespace();
-        if ((c == '{' && path::nfaWantsObject(q_, a)) ||
-            (c == '[' && path::nfaWantsArray(q_, a)) ||
-            a.acceptCount(q_) > 0)
+        if ((c == '{' && nfa_.wantsObject(a)) ||
+            (c == '[' && nfa_.wantsArray(a)) ||
+            nfa_.live(a) < a.states.size())
             value(a);
         maybeFlush();
         assert((nested_ || scratch_->pending.empty()) &&
                "nfa slot left in flight");
     }
 
-    /** The value a plain step selected for ACCEPT, a filter or `..`. */
+    /** The value a plain state selected for its successors. */
     void
     child(size_t state, uint64_t n)
     {
-        if (state == q_.size()) {
-            accept(n);
+        const std::vector<size_t>& succ = nfa_[state].next;
+        if (succ.size() == 1 && nfa_.isAccept(succ.front())) {
+            NfaSet::Entry acc{succ.front(), n};
+            accept({&acc, 1});
             return;
         }
+        successors(succ, n);
+    }
+
+    /**
+     * The value at the cursor against the set @p succ, reached by @p n
+     * paths.  Out of line, like pend() and flush(): inlined, the three
+     * doubled the plain loops' code and ran the Table 5 queries 1-4%
+     * slower, though a lone plain query never takes them.
+     */
+    [[gnu::noinline]] void
+    successors(const std::vector<size_t>& succ, uint64_t n)
+    {
         Frame& f = frame();
         f.next.clear();
-        f.next.add(state, n);
+        f.next.merge(succ, n);
         value(f.next);
     }
 
     /**
-     * Report the value at the cursor @p n times when no state can
-     * enter it: fast-forward it (G3) and complete its slots at once.
+     * Report the value at the cursor for each ACCEPT of @p acc, once
+     * per path, when no state can enter it: fast-forward it (G3) and
+     * complete its slots at once.
+     *
+     * Inlined into the plain loops: called out of line, it ran the
+     * match-heavy Table 5 queries up to 2% slower.
      */
-    void
-    accept(uint64_t n)
+    [[gnu::always_inline]] void
+    accept(std::span<const NfaSet::Entry> acc)
     {
         size_t start = cur_.pos();
         cur_.setHold(std::min(cur_.hold(), start)); // resident until sent
         skip_.overValue(Group::G3);
-        report(start, trimmedEnd(start), n);
+        size_t end = trimmedEnd(start);
+        for (const auto& [s, n] : acc)
+            report(start, end, nfa_.queryOf(s), n);
         maybeFlush();
     }
 
@@ -480,29 +482,37 @@ class NfaDriver : public PlainSteps<NfaDriver>
         if (c == '\0')
             throw ParseError(ErrorCode::UnexpectedEnd,
                              "unexpected end of input", cur_.pos());
-        uint64_t acc = a.acceptCount(q_);
+        size_t live = nfa_.live(a);
+        if (live == 0) {
+            accept(a.states);
+            return;
+        }
         size_t start = cur_.pos();
         auto& pending = scratch_->pending;
         size_t slot = pending.size();
-        if (acc > 0) {
-            pending.insert(pending.end(), acc, {offset_ + start, kInFlight});
-            maybeFlush(); // pins the span before any refill
+        for (size_t i = live; i < a.states.size(); ++i) {
+            auto [s, n] = a.states[i];
+            pending.insert(pending.end(), n,
+                           {offset_ + start, kInFlight, nfa_.queryOf(s)});
         }
-        if (c == '{' && path::nfaWantsObject(q_, a)) {
+        size_t slots = pending.size() - slot;
+        if (slots > 0)
+            maybeFlush(); // pins the span before any refill
+        if (c == '{' && nfa_.wantsObject(a)) {
             cur_.advance(1);
             object(a);
-        } else if (c == '[' && path::nfaWantsArray(q_, a)) {
+        } else if (c == '[' && nfa_.wantsArray(a)) {
             cur_.advance(1);
             array(a);
         } else {
             // No state can advance into this value: G3 when it is
             // itself accepted, G2 otherwise.
-            skip_.overValue(acc > 0 ? Group::G3 : Group::G2);
+            skip_.overValue(slots > 0 ? Group::G3 : Group::G2);
         }
-        if (acc > 0) {
+        if (slots > 0) {
             size_t end = offset_ + trimmedEnd(start);
-            for (uint64_t i = 0; i < acc; ++i)
-                pending[slot + i].second = end;
+            for (size_t i = 0; i < slots; ++i)
+                pending[slot + i].end = end;
             maybeFlush();
         }
     }
@@ -511,25 +521,33 @@ class NfaDriver : public PlainSteps<NfaDriver>
     void
     object(const NfaSet& a)
     {
+        size_t live = nfa_.live(a);
         auto [s0, n0] = a.states.front();
-        if (a.states.size() == 1 && q_[s0].kind == PathStep::Kind::Key) {
+        if (live == 1 && nfa_[s0].step.kind == PathStep::Kind::Key) {
             runObject(s0, n0);
             return;
         }
         enter();
-        bool keys = false;
-        for (const auto& [s, c] : a.states) {
-            (void)c;
-            keys = keys || (s < q_.size() && q_[s].kind == PathStep::Kind::Key);
+        Frame& f = frame();
+        f.keys.clear();
+        bool search = false;
+        for (size_t i = 0; i < live; ++i) {
+            const QueryNfa::Name& name = nfa_.name(a.states[i].first);
+            if (name.kind == PathStep::Kind::Key)
+                f.keys.push_back({name, i});
+            search = search || name.kind == PathStep::Kind::Descendant;
         }
-        if (!keys) {
+        if (f.keys.empty()) {
             searchObject(searches(a));
+            return;
+        }
+        if (!search) {
+            keyObject(a, f);
             return;
         }
         // Key states beside a `..` search: every member is examined,
         // so neither G1 type skipping nor G4 applies.
-        Frame& f = frame();
-        f.consumed.assign(a.states.size(), 0);
+        f.consumed.assign(live, 0);
         for (;;) {
             Skipper::AttrResult attr =
                 skip_.toAttr(Skipper::TypeFilter::Any, Group::G1);
@@ -537,13 +555,70 @@ class NfaDriver : public PlainSteps<NfaDriver>
                 --depth_;
                 return;
             }
-            path::nfaOnKey(q_, a, cur_.slice(attr.key_begin, attr.key_end),
-                           cur_.current(), f.consumed, f.next);
+            nfa_.onKey(a, cur_.slice(attr.key_begin, attr.key_end),
+                       cur_.current(), f.consumed, f.next);
             if (f.next.empty())
                 skip_.overValue(Group::G2);
             else
                 value(f.next);
         }
+    }
+
+    /**
+     * An object where the key states of @p a, listed in @p f.keys, are
+     * its only live states that can enter one: runObject's loop over
+     * several names.  Each state binds once, by runObject's rule; one
+     * G1 typed scan serves them when they all need the same container,
+     * and G4 fires once every one has bound.
+     *
+     * Entry: position just past '{', depth entered.  Exit: past '}'.
+     */
+    void
+    keyObject(const NfaSet& a, Frame& f)
+    {
+        char want = f.keys.front().name.need;
+        bool same = std::all_of(
+            f.keys.begin(), f.keys.end(),
+            [&](const KeyProbe& k) { return k.name.need == want; });
+        Skipper::TypeFilter filter = typeFilter(same ? want : 0);
+        for (;;) {
+            Skipper::AttrResult attr = skip_.toAttr(filter, Group::G1);
+            if (!attr.found)
+                break;
+            std::string_view key = cur_.slice(attr.key_begin, attr.key_end);
+            uint64_t h = QueryNfa::head(key);
+            auto named = [&](const KeyProbe& k) {
+                return k.name.len == key.size() && k.name.head == h;
+            };
+            char c = cur_.current();
+            f.next.clear();
+            // A tight scan on length and first 8 bytes, so a set of a
+            // thousand names stays cheap per member; a hit checks the rest.
+            auto k = f.keys.begin();
+            while ((k = std::find_if(k, f.keys.end(), named)) !=
+                   f.keys.end()) {
+                const auto& [s, n] = a.states[k->entry];
+                if ((k->name.need != 0 && k->name.need != c) ||
+                    (key.size() > sizeof h && nfa_[s].step.key != key)) {
+                    ++k;
+                    continue;
+                }
+                f.next.merge(nfa_[s].next, n);
+                *k = f.keys.back(); // bound: drop it
+                f.keys.pop_back();
+            }
+            if (f.next.empty()) {
+                skip_.overValue(Group::G2);
+                continue;
+            }
+            value(f.next);
+            if (f.keys.empty()) {
+                // G4: every key state has bound.
+                skip_.toObjEnd(Group::G4);
+                break;
+            }
+        }
+        --depth_;
     }
 
     /**
@@ -559,9 +634,10 @@ class NfaDriver : public PlainSteps<NfaDriver>
     {
         // Most searches look for one name: compare it directly.
         const std::string* one =
-            a.states.size() == 1 ? &q_[a.states[0].first].key : nullptr;
+            a.states.size() == 1 ? &nfa_[a.states[0].first].step.key
+                                 : nullptr;
         auto named = [&](size_t s, std::string_view key) {
-            return q_[s].key == key;
+            return nfa_[s].step.key == key;
         };
         for (;;) {
             Skipper::AttrResult attr =
@@ -581,32 +657,35 @@ class NfaDriver : public PlainSteps<NfaDriver>
             bool container = c == '{' || c == '[';
             if (!hit && !container) {
                 skip_.overPrimitive(Group::G2);
-            } else if (!hit) {
+                continue;
+            }
+            if (!hit) {
                 cur_.advance(1);
                 enter();
                 if (c == '{')
                     searchObject(a);
                 else
                     searchArray(a);
-            } else if (container) {
-                Frame& f = frame();
-                f.next = a;
-                for (const auto& [s, n] : a.states) {
-                    if (named(s, key))
-                        f.next.add(s + 1, n);
-                }
-                value(f.next);
-            } else {
-                uint64_t acc = 0;
-                for (const auto& [s, n] : a.states) {
-                    if (s + 1 == q_.size() && named(s, key))
-                        acc += n;
-                }
-                if (acc > 0)
-                    accept(acc);
-                else
-                    skip_.overPrimitive(Group::G2);
+                continue;
             }
+            // The searches stay beside what they matched, in a
+            // container; a primitive can only be accepted.
+            Frame& f = frame();
+            if (container)
+                f.next = a;
+            else
+                f.next.clear();
+            for (const auto& [s, n] : a.states) {
+                if (named(s, key))
+                    f.next.merge(nfa_[s].next, n);
+            }
+            size_t live = nfa_.live(f.next);
+            if (container)
+                value(f.next);
+            else if (live < f.next.states.size())
+                accept(std::span(f.next.states).subspan(live));
+            else
+                skip_.overPrimitive(Group::G2);
         }
     }
 
@@ -638,19 +717,16 @@ class NfaDriver : public PlainSteps<NfaDriver>
     const NfaSet&
     searches(const NfaSet& a)
     {
-        bool only = std::all_of(
-            a.states.begin(), a.states.end(), [&](const auto& sc) {
-                return sc.first < q_.size() &&
-                       q_[sc.first].kind == PathStep::Kind::Descendant;
-            });
-        if (only)
+        auto search = [&](const NfaSet::Entry& e) {
+            return !nfa_.isAccept(e.first) &&
+                   nfa_[e.first].step.kind == PathStep::Kind::Descendant;
+        };
+        if (std::all_of(a.states.begin(), a.states.end(), search))
             return a;
         Frame& f = frame();
         f.search.clear();
-        for (const auto& [s, c] : a.states) {
-            if (s < q_.size() && q_[s].kind == PathStep::Kind::Descendant)
-                f.search.add(s, c);
-        }
+        std::copy_if(a.states.begin(), a.states.end(),
+                     std::back_inserter(f.search.states), search);
         return f.search;
     }
 
@@ -658,27 +734,32 @@ class NfaDriver : public PlainSteps<NfaDriver>
     void
     array(const NfaSet& a)
     {
+        size_t live = nfa_.live(a);
         auto [s0, n0] = a.states.front();
-        if (a.states.size() == 1 && q_[s0].isPlain()) {
+        if (live == 1 && nfa_[s0].step.isPlain()) {
             runArray(s0, n0);
             return;
         }
         enter();
         bool filter = false;
         bool steps = false; // index, slice or wildcard
-        for (const auto& [s, c] : a.states) {
-            (void)c;
-            if (s >= q_.size())
-                continue;
-            filter = filter || q_[s].kind == PathStep::Kind::Filter;
-            steps = steps || (q_[s].isPlain() && q_[s].isArrayStep());
+        bool search = false;
+        for (size_t i = 0; i < live; ++i) {
+            const PathStep& st = nfa_[a.states[i].first].step;
+            filter = filter || st.kind == PathStep::Kind::Filter;
+            steps = steps || (st.isPlain() && st.isArrayStep());
+            search = search || st.kind == PathStep::Kind::Descendant;
         }
         if (!filter && !steps) {
             searchArray(searches(a));
             return;
         }
-        if (a.states.size() == 1) { // a lone filter state
+        if (live == 1) { // a lone filter state
             filterArray(s0, n0);
+            return;
+        }
+        if (!filter && !search) {
+            rangeArray(a, live);
             return;
         }
         // The filter states, and their distinct predicate fields, are
@@ -686,10 +767,11 @@ class NfaDriver : public PlainSteps<NfaDriver>
         Frame& f = frame();
         f.filters.clear();
         f.fields.clear();
-        for (const auto& [s, c] : a.states) {
-            if (s >= q_.size() || q_[s].kind != PathStep::Kind::Filter)
+        for (size_t i = 0; i < live; ++i) {
+            auto [s, c] = a.states[i];
+            if (nfa_[s].step.kind != PathStep::Kind::Filter)
                 continue;
-            const std::string& field = q_[s].key;
+            const std::string& field = nfa_[s].step.key;
             auto it = std::find_if(
                 f.fields.begin(), f.fields.end(),
                 [&](const std::string* g) { return *g == field; });
@@ -704,7 +786,7 @@ class NfaDriver : public PlainSteps<NfaDriver>
                 cur_.advance(1);
                 break;
             }
-            path::nfaOnElement(q_, a, idx, f.next, nullptr);
+            nfa_.onElement(a, idx, f.next);
             if (!f.filters.empty() && c == '{') {
                 candidate(f);
             } else if (f.next.empty()) {
@@ -721,8 +803,62 @@ class NfaDriver : public PlainSteps<NfaDriver>
     }
 
     /**
-     * An array under a lone filter state @p s (@p n paths), the shape
-     * of every filter until a `..` search forks the set: G1 to each
+     * An array where the index, slice and wildcard states of @p a are
+     * its only live states that can enter one: the union of their
+     * ranges.  G5 skips below the lowest start, past the highest end
+     * and over gap elements no range covers; an element enters the
+     * successors of every state covering it.
+     *
+     * Entry: position just past '[', depth entered.  Exit: past ']'.
+     */
+    void
+    rangeArray(const NfaSet& a, size_t live)
+    {
+        size_t lo = SIZE_MAX;
+        size_t hi = 0;
+        for (size_t i = 0; i < live; ++i) {
+            const PathStep& st = nfa_[a.states[i].first].step;
+            if (st.isArrayStep()) {
+                lo = std::min(lo, st.lo);
+                hi = std::max(hi, st.hi);
+            }
+        }
+        size_t idx = 0;
+        char c = cur_.skipWhitespace();
+        if (c == ']') {
+            cur_.advance(1);
+        } else if (lo == 0 || skip_.overElems(lo, idx, Group::G5) ==
+                                  Skipper::ElemStop::Found) {
+            Frame& f = frame();
+            for (;; ++idx) {
+                if (idx >= hi) {
+                    skip_.toAryEnd(Group::G5);
+                    break;
+                }
+                if (cur_.skipWhitespace() == ']') {
+                    cur_.advance(1);
+                    break;
+                }
+                f.next.clear();
+                for (size_t i = 0; i < live; ++i) {
+                    auto [s, n] = a.states[i];
+                    const PathStep& st = nfa_[s].step;
+                    if (st.isArrayStep() && st.coversIndex(idx))
+                        f.next.merge(nfa_[s].next, n);
+                }
+                if (f.next.empty())
+                    skip_.overValue(Group::G5); // a gap between ranges
+                else
+                    value(f.next);
+                if (!moreElements())
+                    break;
+            }
+        }
+        --depth_;
+    }
+
+    /**
+     * An array under a lone filter state @p s (@p n paths): G1 to each
      * `{`-opening candidate (a non-object cannot satisfy `@.field`),
      * probe its predicate field, then fast-forward the rest — G3 when
      * the candidate is kept, G2 when it is dropped.  A kept candidate
@@ -734,7 +870,7 @@ class NfaDriver : public PlainSteps<NfaDriver>
     void
     filterArray(size_t s, uint64_t n)
     {
-        const PathStep& st = q_[s];
+        const PathStep& st = nfa_[s].step;
         auto field = [&](std::string_view key) {
             return key == st.key ? 0 : kNone;
         };
@@ -756,13 +892,11 @@ class NfaDriver : public PlainSteps<NfaDriver>
             if (present)
                 skip_.toObjEnd(keep ? Group::G3 : Group::G2);
             --depth_;
-            if (keep && s + 1 == q_.size()) {
-                report(start, cur_.pos(), n);
-            } else if (keep) {
+            if (keep) {
                 Frame& f = frame();
                 f.next.clear();
-                f.next.add(s + 1, n);
-                interior(f.next, start, cur_.pos());
+                f.next.merge(nfa_[s].next, n);
+                kept(f.next, start, cur_.pos());
             }
             maybeFlush();
             if (!moreElements())
@@ -773,28 +907,22 @@ class NfaDriver : public PlainSteps<NfaDriver>
 
     /**
      * An object element wanted by the filter states in @p f.filters,
-     * beside other states (a set a `..` search forked): probe every
-     * distinct predicate field in one scan (the first member with its
-     * name), decide each filter as its field shows up, then
-     * fast-forward the remainder — G3 when any state survives into the
-     * candidate, G2 when none does.  Accepting survivors report the
-     * candidate; the others, gathered in @p f.next with the element's
-     * own states, replay its held span.
+     * beside other states: probe every distinct predicate field in one
+     * scan (the first member with its name), decide each filter as its
+     * field shows up, then fast-forward the remainder — G3 when any
+     * state survives into the candidate, G2 when none does.  The
+     * survivors, gathered in @p f.next with the element's own states,
+     * settle the candidate (kept()).
      *
      * Entry: position at the element's '{'.  Exit: just past its '}'.
      */
     void
     candidate(Frame& f)
     {
-        uint64_t acc = 0;
         auto decide = [&](const Filter& flt, bool present,
                           std::string_view lexeme) {
-            if (!path::evalPredicate(q_[flt.state], present, lexeme))
-                return;
-            if (flt.state + 1 == q_.size())
-                acc += flt.count;
-            else
-                f.next.add(flt.state + 1, flt.count);
+            if (path::evalPredicate(nfa_[flt.state].step, present, lexeme))
+                f.next.merge(nfa_[flt.state].next, flt.count);
         };
         size_t start = cur_.pos();
         cur_.setHold(std::min(cur_.hold(), start));
@@ -830,15 +958,27 @@ class NfaDriver : public PlainSteps<NfaDriver>
                 decide(flt, false, {});
         }
         if (!closed)
-            skip_.toObjEnd(acc > 0 || !f.next.empty() ? Group::G3
-                                                      : Group::G2);
+            skip_.toObjEnd(f.next.empty() ? Group::G2 : Group::G3);
         --depth_;
-        size_t end = cur_.pos();
-        if (acc > 0)
-            report(start, end, acc); // pre-order: before its interior
-        if (!f.next.empty())
-            interior(f.next, start, end);
+        kept(f.next, start, cur_.pos());
         maybeFlush();
+    }
+
+    /**
+     * Settle a candidate [start, end) that the states of @p set
+     * survived into: report it for each ACCEPT of the set, then — its
+     * interior after it, in pre-order — replay it for the others.
+     */
+    void
+    kept(NfaSet& set, size_t start, size_t end)
+    {
+        size_t live = nfa_.live(set);
+        for (size_t i = live; i < set.states.size(); ++i)
+            report(start, end, nfa_.queryOf(set.states[i].first),
+                   set.states[i].second);
+        set.states.resize(live);
+        if (live > 0)
+            interior(set, start, end);
     }
 
     /**
@@ -916,22 +1056,28 @@ class NfaDriver : public PlainSteps<NfaDriver>
     }
 
     /**
-     * Report [start, end) @p n times, after every earlier slot: at once
-     * when nothing earlier is still in flight, else as completed slots
-     * for the next maybeFlush().
+     * Report [start, end) @p n times for @p query, after every earlier
+     * slot: at once when nothing earlier is still in flight, else as
+     * completed slots for the next maybeFlush().
      */
     void
-    report(size_t start, size_t end, uint64_t n)
+    report(size_t start, size_t end, size_t query, uint64_t n)
     {
-        auto& pending = scratch_->pending;
-        if (!nested_ && pending.empty()) {
-            result_.matches += n;
+        if (!nested_ && scratch_->pending.empty()) {
+            result_.matches[query] += n;
             for (uint64_t i = 0; sink_ != nullptr && i < n; ++i)
-                sink_->onMatch(cur_.slice(start, end));
+                sink_->onMatch(query, cur_.slice(start, end));
         } else {
-            pending.insert(pending.end(), n,
-                           {offset_ + start, offset_ + end});
+            pend(start, end, query, n);
         }
+    }
+
+    /** report() behind an earlier slot: queue @p n completed slots. */
+    [[gnu::noinline]] void
+    pend(size_t start, size_t end, size_t query, uint64_t n)
+    {
+        scratch_->pending.insert(scratch_->pending.end(), n,
+                                 {offset_ + start, offset_ + end, query});
     }
 
     /**
@@ -951,16 +1097,16 @@ class NfaDriver : public PlainSteps<NfaDriver>
             flush();
     }
 
-    void
+    [[gnu::noinline]] void
     flush()
     {
         auto& pending = scratch_->pending;
         while (flushed_ < pending.size() &&
-               pending[flushed_].second != kInFlight) {
-            auto [start, end] = pending[flushed_];
-            ++result_.matches;
+               pending[flushed_].end != kInFlight) {
+            const Slot& m = pending[flushed_];
+            ++result_.matches[m.query];
             if (sink_)
-                sink_->onMatch(cur_.slice(start, end));
+                sink_->onMatch(m.query, cur_.slice(m.start, m.end));
             ++flushed_;
         }
         size_t hold = StreamCursor::kNoHold;
@@ -970,7 +1116,7 @@ class NfaDriver : public PlainSteps<NfaDriver>
             pending.clear();
             flushed_ = 0;
         } else {
-            hold = std::min(hold, pending[flushed_].first);
+            hold = std::min(hold, pending[flushed_].start);
         }
         cur_.setHold(hold);
     }
@@ -979,6 +1125,7 @@ class NfaDriver : public PlainSteps<NfaDriver>
     static constexpr size_t kInFlight = SIZE_MAX;
     static constexpr size_t kNone = SIZE_MAX;
 
+    NfaSet start_;             ///< the start states, once per pass
     Scratch own_;
     Scratch* scratch_ = &own_; ///< own_, or the outer pass's in a replay
     size_t offset_ = 0;      ///< this cursor's 0 in top-level positions
@@ -987,37 +1134,77 @@ class NfaDriver : public PlainSteps<NfaDriver>
 };
 
 /**
- * One pass of a fresh driver over @p input (a buffer, or a ChunkSource
- * and its chunk size): NfaDriver for every query with a filter or
- * descendant step (DESIGN.md §13), the linear Driver for the paper's
- * key, index, slice and wildcard steps.  @p go runs the driver; a
- * sink's StopStreaming ends the pass early with a valid partial
- * result.
+ * One pass of a fresh driver for @p nfa over @p input (a buffer, or a
+ * ChunkSource and its chunk size).  @p go runs the driver; a sink's
+ * StopStreaming ends the pass early with a valid partial result.
  */
 template <class Go, class... Input>
-StreamResult
-pass(const PathQuery& q, const StreamerOptions& options, MatchSink* sink,
+MultiStreamer::Result
+pass(const QueryNfa& nfa, const StreamerOptions& options, MultiSink* sink,
      Go go, Input&... input)
 {
-    StreamResult result;
-    auto drive = [&](auto& driver) {
-        try {
-            go(driver);
-        } catch (const StopStreaming&) {
-        }
-        driver.finish();
-    };
-    if (q.hasFilter() || q.hasDescendant()) {
-        NfaDriver driver(q, options, input..., sink, result);
-        drive(driver);
-    } else {
-        Driver driver(q, options, input..., sink, result);
-        drive(driver);
+    MultiStreamer::Result result;
+    result.matches.assign(nfa.queryCount(), 0);
+    NfaDriver driver(nfa, options, input..., sink, result);
+    try {
+        go(driver);
+    } catch (const StopStreaming&) {
     }
+    driver.finish();
     return result;
 }
 
+/**
+ * pass() over a whole buffer, or — when the test seam is set
+ * (setWholeBufferChunkBytes) — over the same bytes in chunks: the one
+ * place a whole-buffer run is rerouted.
+ */
+template <class Go>
+MultiStreamer::Result
+passBuffer(const QueryNfa& nfa, const StreamerOptions& options,
+           MultiSink* sink, Go go, std::string_view json)
+{
+    if (size_t chunk = wholeBufferChunkBytes()) {
+        intervals::ViewSource source(json);
+        return pass(nfa, options, sink, go, source, chunk);
+    }
+    return pass(nfa, options, sink, go, json);
+}
+
 constexpr auto kOneValue = [](auto& driver) { driver.run(); };
+constexpr auto kRecords = [](auto& driver) { driver.runRecords(); };
+
+/** A lone query's MatchSink behind the driver's MultiSink. */
+class QuerySink final : public MultiSink
+{
+  public:
+    explicit QuerySink(MatchSink* sink) : sink_(sink) {}
+
+    /** What the driver reports to: null when the caller only counts. */
+    MultiSink* get() { return sink_ != nullptr ? this : nullptr; }
+
+    void
+    onMatch(size_t, std::string_view value) override
+    {
+        sink_->onMatch(value);
+    }
+
+  private:
+    MatchSink* sink_;
+};
+
+/** A lone query's view of a pass. */
+StreamResult
+solo(MultiStreamer::Result r)
+{
+    StreamResult out;
+    out.matches = r.matches.front();
+    out.stats = r.stats;
+    out.input_bytes = r.input_bytes;
+    out.records = r.records;
+    out.ingest = r.ingest;
+    return out;
+}
 
 /**
  * Forwards matches to the caller's sink while counting what got
@@ -1046,36 +1233,62 @@ class ForwardingCountSink : public MatchSink
 
 } // namespace
 
+void
+setWholeBufferChunkBytes(size_t chunk_bytes)
+{
+    g_whole_buffer_chunk_bytes.store(chunk_bytes, std::memory_order_relaxed);
+}
+
+size_t
+wholeBufferChunkBytes()
+{
+    return g_whole_buffer_chunk_bytes.load(std::memory_order_relaxed);
+}
+
 StreamResult
 Streamer::run(std::string_view json, MatchSink* sink) const
 {
-    if (size_t chunk = testChunkBytesOverride()) {
-        intervals::ViewSource source(json);
-        return run(source, sink, chunk);
-    }
-    return runResident(json, sink);
+    QuerySink one(sink);
+    return solo(passBuffer(nfa_, options_, one.get(), kOneValue, json));
 }
 
 StreamResult
 Streamer::runResident(std::string_view json, MatchSink* sink) const
 {
-    return pass(query_, options_, sink, kOneValue, json);
+    QuerySink one(sink);
+    return solo(pass(nfa_, options_, one.get(), kOneValue, json));
 }
 
 StreamResult
 Streamer::run(intervals::ChunkSource& source, MatchSink* sink,
               size_t chunk_bytes) const
 {
-    return pass(query_, options_, sink, kOneValue, source, chunk_bytes);
+    QuerySink one(sink);
+    return solo(
+        pass(nfa_, options_, one.get(), kOneValue, source, chunk_bytes));
 }
 
 StreamResult
 Streamer::runRecords(intervals::ChunkSource& source, MatchSink* sink,
                      size_t chunk_bytes) const
 {
-    return pass(
-        query_, options_, sink, [](auto& driver) { driver.runRecords(); },
-        source, chunk_bytes);
+    QuerySink one(sink);
+    return solo(
+        pass(nfa_, options_, one.get(), kRecords, source, chunk_bytes));
+}
+
+StreamResult
+Streamer::run(intervals::ChunkSource& source, MultiSink& sink,
+              size_t chunk_bytes) const
+{
+    return solo(pass(nfa_, options_, &sink, kOneValue, source, chunk_bytes));
+}
+
+StreamResult
+Streamer::runRecords(intervals::ChunkSource& source, MultiSink& sink,
+                     size_t chunk_bytes) const
+{
+    return solo(pass(nfa_, options_, &sink, kRecords, source, chunk_bytes));
 }
 
 StreamResult
@@ -1086,31 +1299,26 @@ Streamer::runIndexed(std::string_view json,
     if (!idx.usable() || idx.levels() == 0)
         return run(json, sink); // unclean document: stream
     ForwardingCountSink counted(sink);
-    MatchSink* inner = sink ? static_cast<MatchSink*>(&counted) : nullptr;
+    QuerySink one(sink ? &counted : nullptr);
     try {
-        if (size_t chunk = testChunkBytesOverride()) {
-            intervals::ViewSource source(json);
-            return runIndexed(source, idx, inner, chunk);
-        }
-        return pass(
-            query_, options_, inner,
+        return solo(passBuffer(
+            nfa_, options_, one.get(),
             [&idx](auto& driver) {
                 driver.bindIndex(&idx);
                 driver.run();
             },
-            json);
+            json));
     } catch (const ParseError& e) {
         // A self-built index only contradicts the driver on
         // grammatically invalid (though structurally clean) documents,
         // where the driver's lenient skip rules desynchronize its
         // depth from the classifier's — e.g. a backslash spliced in
         // front of a string's closing quote.  The bytes are resident
-        // (also when JSONSKI_TEST_CHUNK_BYTES feeds them through the
-        // chunked overload) and nothing reached the sink yet, so
-        // replay plain: warm output stays identical to streaming even
-        // on junk.  After an emission the replay would duplicate
-        // matches, so the typed mismatch propagates (fail closed,
-        // never wrong output).
+        // (also when the test seam feeds them through chunks) and
+        // nothing reached the sink yet, so replay plain: warm output
+        // stays identical to streaming even on junk.  After an
+        // emission the replay would duplicate matches, so the typed
+        // mismatch propagates (fail closed, never wrong output).
         if (e.code() != ErrorCode::IndexMismatch ||
             counted.forwarded() != 0)
             throw;
@@ -1130,13 +1338,42 @@ Streamer::runIndexed(intervals::ChunkSource& source,
     // documents or a caller-contract-violating foreign index.
     if (!idx.usable() || idx.levels() == 0)
         return run(source, sink, chunk_bytes);
-    return pass(
-        query_, options_, sink,
+    QuerySink one(sink);
+    return solo(pass(
+        nfa_, options_, one.get(),
         [&idx](auto& driver) {
             driver.bindIndex(&idx);
             driver.run();
         },
-        source, chunk_bytes);
+        source, chunk_bytes));
+}
+
+MultiStreamer::MultiStreamer(std::vector<path::PathQuery> queries)
+    : MultiStreamer(path::QuerySet::normalize(std::move(queries)))
+{}
+
+MultiStreamer::MultiStreamer(path::QuerySet set)
+    : set_(std::move(set)), nfa_(set_.distinct)
+{}
+
+MultiStreamer::Result
+MultiStreamer::run(std::string_view json, MultiSink* sink) const
+{
+    return passBuffer(nfa_, {}, sink, kOneValue, json);
+}
+
+MultiStreamer::Result
+MultiStreamer::run(intervals::ChunkSource& source, MultiSink* sink,
+                   size_t chunk_bytes) const
+{
+    return pass(nfa_, {}, sink, kOneValue, source, chunk_bytes);
+}
+
+MultiStreamer::Result
+MultiStreamer::runRecords(intervals::ChunkSource& source, MultiSink* sink,
+                          size_t chunk_bytes) const
+{
+    return pass(nfa_, {}, sink, kRecords, source, chunk_bytes);
 }
 
 QueryResult

@@ -5,12 +5,12 @@
  *
  * The streamer walks the input with a Skipper, descending recursively
  * only along the query's match path; everything irrelevant is
- * fast-forwarded.  Queries of key, index, slice and wildcard steps run
- * the linear driver, whose recursion depth is bounded by the query
- * length.  A query with a filter or `..` step runs NfaDriver on the
- * same loops over a set of automaton states (DESIGN.md §13); under a
- * `..` search it follows the data's nesting, up to a typed
- * DepthExceeded limit.
+ * fast-forwarded.  Every query compiles to a path::QueryNfa, a query
+ * set of one, and runs the one driver MultiStreamer runs: a plain
+ * query runs the paper's loops with one automaton state per level,
+ * and a filter or `..` step a set of states on the same loops
+ * (DESIGN.md §13); under a `..` search it follows the data's nesting,
+ * up to a typed DepthExceeded limit.
  */
 #ifndef JSONSKI_SKI_STREAMER_H
 #define JSONSKI_SKI_STREAMER_H
@@ -35,6 +35,8 @@ namespace jsonski::ski {
 
 using path::CollectSink;
 using path::MatchSink;
+
+class MultiSink;
 
 /** Outcome of one streaming pass. */
 struct StreamResult
@@ -77,7 +79,7 @@ class Streamer
 {
   public:
     explicit Streamer(path::PathQuery query, StreamerOptions options = {})
-        : query_(std::move(query)), options_(options)
+        : query_(std::move(query)), options_(options), nfa_({query_})
     {}
 
     /** The compiled query. */
@@ -93,9 +95,9 @@ class Streamer
      * @param sink  Optional match receiver (null = count only).
      * @throws ParseError on malformed input along the traversed path.
      *
-     * Setting JSONSKI_TEST_CHUNK_BYTES=N in the environment reroutes
-     * this overload through the chunked path with N-byte chunks, which
-     * turns every whole-buffer caller into a chunk-seam test.
+     * setWholeBufferChunkBytes() can reroute this overload through the
+     * chunked path, which turns every whole-buffer caller into a
+     * chunk-seam test.
      */
     StreamResult run(std::string_view json, MatchSink* sink = nullptr) const;
 
@@ -122,13 +124,17 @@ class Streamer
                             MatchSink* sink = nullptr,
                             size_t chunk_bytes = kDefaultChunkBytes) const;
 
+    /** run() and runRecords() reporting each match to @p sink as query
+     *  0, as a query set of one does (service::Plan::run). */
+    StreamResult run(intervals::ChunkSource& source, MultiSink& sink,
+                     size_t chunk_bytes) const;
+    StreamResult runRecords(intervals::ChunkSource& source, MultiSink& sink,
+                            size_t chunk_bytes) const;
+
     /**
-     * Whole-buffer evaluation that is never rerouted by
-     * JSONSKI_TEST_CHUNK_BYTES.  In the library it serves only
-     * MultiStreamer's divergent-suffix replays, which evaluate a span
-     * of the window the outer pass still holds resident; tests use it
-     * as the whole-buffer reference.  Everything else should call
-     * run().
+     * Whole-buffer evaluation that setWholeBufferChunkBytes() never
+     * reroutes.  Nothing in the library calls it; tests use it as the
+     * whole-buffer reference.  Everything else should call run().
      */
     StreamResult runResident(std::string_view json,
                              MatchSink* sink = nullptr) const;
@@ -149,8 +155,8 @@ class Streamer
      * *wrong* index for the document surfaces as
      * ParseError(ErrorCode::IndexMismatch), never as wrong output.
      *
-     * JSONSKI_TEST_CHUNK_BYTES reroutes this overload through the
-     * chunked variant exactly as it does for run(); the bytes stay
+     * setWholeBufferChunkBytes() reroutes this overload through the
+     * chunked variant exactly as it does run(); the bytes stay
      * resident, so a defensive IndexMismatch before any match reached
      * the sink still replays plain, as here.
      */
@@ -169,7 +175,21 @@ class Streamer
   private:
     path::PathQuery query_;
     StreamerOptions options_;
+    path::QueryNfa nfa_;
 };
+
+/**
+ * Test seam: a nonzero @p chunk_bytes reroutes every whole-buffer run
+ * (Streamer::run, Streamer::runIndexed and MultiStreamer::run over a
+ * string_view) through the chunked path in @p chunk_bytes chunks, so
+ * each whole-buffer test doubles as a chunk-seam test (DESIGN.md §9).
+ * Only a test main sets it; 0, the default, turns it off.  Set it
+ * before any run starts.
+ */
+void setWholeBufferChunkBytes(size_t chunk_bytes);
+
+/** The chunk size set by setWholeBufferChunkBytes(), or 0. */
+size_t wholeBufferChunkBytes();
 
 /**
  * One-call convenience API: evaluate @p path_text against @p json.

@@ -71,7 +71,6 @@ recordsOracle(const service::Plan& plan, std::string_view stream)
     }
     service::RunResult& r = run.result;
     r.matches.assign(plan.queryCount(), 0);
-    r.per_query.assign(plan.queryCount(), ski::FastForwardStats{});
     r.input_bytes = stream.size();
     for (auto [start, len] : spans) {
         std::string_view record = stream.substr(start, len);
@@ -84,10 +83,8 @@ recordsOracle(const service::Plan& plan, std::string_view stream)
             } else {
                 ski::MultiStreamer::Result one =
                     plan.multi->run(record, &sink);
-                for (size_t qi = 0; qi < one.matches.size(); ++qi) {
+                for (size_t qi = 0; qi < one.matches.size(); ++qi)
                     r.matches[qi] += one.matches[qi];
-                    r.per_query[qi].merge(one.per_query[qi]);
-                }
                 r.stats.merge(one.stats);
             }
         } catch (const ParseError& e) {

@@ -18,7 +18,9 @@
 #include "intervals/cursor.h"
 #include "path/matches.h"
 #include "path/parser.h"
+#include "path/queryset.h"
 #include "service/plan_cache.h"
+#include "ski/multi.h"
 #include "ski/streamer.h"
 #include "util/mem_stats.h"
 
@@ -296,6 +298,37 @@ TEST(ChunkedCursorTest, WindowStaysOneChunkPlusOneBlock)
         EXPECT_GT(r.ingest.refills, 1u);
         EXPECT_EQ(r.ingest.window_peak, (chunk + 63) / 64 * 64 + 64)
             << "chunk " << chunk;
+    }
+}
+
+TEST(ChunkedCursorTest, QuerySetsKeepTheSoloWindow)
+{
+    // A set's filter and `..` steps run inside its one walk, so no set
+    // pins a record: each set keeps the window its queries keep alone,
+    // one block-rounded chunk plus one block.
+    constexpr size_t kChunk = 65536;
+    const std::string doc =
+        jsonski::gen::generateLarge(jsonski::gen::DatasetId::TT, 1 << 20, 7);
+    const std::vector<std::vector<std::string>> sets = {
+        {"$[*].id", "$..screen_name"},
+        {"$[*].id", "$[?(@.lang=='es')].id"},
+    };
+    for (const std::vector<std::string>& texts : sets) {
+        SCOPED_TRACE(texts.back());
+        for (const std::string& text : texts) {
+            ViewSource src(doc, kChunk);
+            StreamResult r = Streamer(jsonski::path::parse(text))
+                                 .run(src, nullptr, kChunk);
+            EXPECT_EQ(r.ingest.window_peak, size_t{65600}) << text;
+        }
+        jsonski::ski::MultiStreamer ms(
+            jsonski::path::QuerySet::fromTexts(texts));
+        ViewSource src(doc, kChunk);
+        jsonski::ski::MultiStreamer::Result r = ms.run(src, nullptr, kChunk);
+        EXPECT_EQ(r.input_bytes, doc.size());
+        EXPECT_GT(r.matches[0], 0u);
+        EXPECT_GT(r.matches[1], 0u);
+        EXPECT_EQ(r.ingest.window_peak, size_t{65600});
     }
 }
 

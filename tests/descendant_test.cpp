@@ -305,8 +305,8 @@ TEST(Descendant, PisonRejectsByDesign)
 
 TEST(Descendant, MultiStreamerEvaluatesDescendants)
 {
-    // Descendant steps ride the divergent-suffix fallback: the
-    // combined pass must agree with the single-query run.
+    // Descendant steps run inside the combined pass's one walk: it
+    // must agree with the single-query run.
     const std::string doc =
         R"({"a":1,"b":{"a":[2,3],"c":{"a":4}},"d":5})";
     std::vector<path::PathQuery> qs;

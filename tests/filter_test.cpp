@@ -280,8 +280,8 @@ TEST(Filter, RandomDifferentialSkiVsDom)
 
 TEST(Filter, MultiStreamerEvaluatesFilters)
 {
-    // Filters ride the divergent-suffix fallback: the combined pass
-    // must agree with the single-query run, value for value.
+    // Filters run inside the combined pass's one walk: it must agree
+    // with the single-query run, value for value.
     const std::string doc =
         R"([{"a":1,"x":"p"},{"a":2},{"a":1,"x":"q"},{"b":3}])";
     path::PathQuery q = path::parse("$[?(@.a==1)]");

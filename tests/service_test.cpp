@@ -354,8 +354,8 @@ TEST(Service, PlanCacheKeysOnTheCanonicalQuerySet)
 
 TEST(Service, MultiQueryWithSuffixesOverTheWire)
 {
-    // Filter and descendant members of a query set replay on divergent
-    // suffixes server-side; the wire result must equal the direct
+    // Filter and descendant members of a query set run in the one
+    // combined walk server-side; the wire result must equal the direct
     // combined run, frame tags included.
     Server server;
     server.start();
@@ -442,8 +442,7 @@ TEST(Service, PlanCacheCanonicalizesFilterSpellings)
     EXPECT_EQ(cache.misses(), 2u);
 
     // A malformed filter throws before anything is inserted; a filter
-    // inside a multi-query list compiles (the combined engine replays
-    // it on the divergent suffix).
+    // inside a multi-query list compiles into the set's automaton.
     EXPECT_THROW(cache.get("$[?(@.]"), PathError);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_NO_THROW(cache.get("$.id,$[?(@.s=='x')]"));

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "path/parser.h"
+#include "path/queryset.h"
+#include "ski/multi.h"
 #include "util/error.h"
 
 using namespace jsonski::ski;
@@ -293,4 +298,38 @@ TEST(StatsTest, RatiosClampToOne)
     EXPECT_DOUBLE_EQ(stats.overallRatio(100), 1.0);
     EXPECT_DOUBLE_EQ(stats.overallRatio(0), 0.0);
     EXPECT_LE(stats.ratio(Group::G1, 1000), 0.5);
+}
+
+TEST(Streamer, ChunkSeamReroutesWholeBufferRuns)
+{
+    // The test main maps JSONSKI_TEST_CHUNK_BYTES onto the seam; the
+    // library itself reads no environment variable.
+    const char* env = std::getenv("JSONSKI_TEST_CHUNK_BYTES");
+    size_t set = env != nullptr && *env != '\0'
+                     ? static_cast<size_t>(std::strtoull(env, nullptr, 10))
+                     : 0;
+    EXPECT_EQ(wholeBufferChunkBytes(), set);
+    std::string doc = "[";
+    for (int i = 0; i < 100; ++i)
+        doc += (i ? ", " : "") + std::string(R"({"a": )") +
+               std::to_string(i) + "}";
+    doc += "]";
+    Streamer solo(parse("$[*].a"));
+    MultiStreamer multi(jsonski::path::QuerySet::fromTexts({"$[*].a", "$..a"}));
+    auto check = [&](size_t chunk) {
+        SCOPED_TRACE("seam " + std::to_string(chunk));
+        StreamResult r = solo.run(doc);
+        MultiStreamer::Result m = multi.run(doc);
+        EXPECT_EQ(r.matches, 100u);
+        EXPECT_EQ(m.matches, (std::vector<size_t>{100, 100}));
+        EXPECT_EQ(r.ingest.refills > 0, chunk != 0);
+        EXPECT_EQ(m.ingest.refills > 0, chunk != 0);
+        EXPECT_EQ(solo.runResident(doc).ingest.refills, 0u); // never
+    };
+    check(set);
+    setWholeBufferChunkBytes(64);
+    check(64);
+    setWholeBufferChunkBytes(0);
+    check(0);
+    setWholeBufferChunkBytes(set);
 }
